@@ -1,4 +1,4 @@
-"""Mapping-service throughput — warm-store sweeps and shm vs pickle transport.
+"""Mapping-service throughput — warm-store weight sweeps.
 
 The service layer (:mod:`repro.service`) claims two things:
 
@@ -17,12 +17,6 @@ The operating point is the acceptance workload: a 16x16 mesh, 96 cores and
 sweep submitted as daemon jobs.  Scalarisation weights live outside the
 store key, so the cold pass prices the population exactly once (jobs 2 and 3
 already hit) and the warm pass prices nothing.
-
-The shm-vs-pickle half measures the transport in isolation: the same
-population priced through :class:`~repro.service.shm.SharedArrayBackend`
-with ``transport="shm"`` and ``transport="pickle"``, identity asserted
-against serial both ways.  The transport rates are recorded, not barred —
-the win is payload size, and on small populations the pool dominates.
 
 The >= 3x bar follows the suite's perf-bar convention: rates are recorded
 first, then the bar can be waived on constrained or instrumented
@@ -45,7 +39,7 @@ from repro.eval.context import CdcmEvaluationContext
 from repro.eval.parallel import SerialBackend
 from repro.noc.platform import Platform
 from repro.noc.topology import Mesh
-from repro.service import EvalJob, MappingDaemon, ResultStore, SharedArrayBackend
+from repro.service import EvalJob, MappingDaemon, ResultStore
 from repro.workloads.tgff import TgffLikeGenerator, TgffSpec
 
 _SKIP_PERF_BARS = os.environ.get("REPRO_BENCH_NO_PERF_BARS", "0") not in (
@@ -53,8 +47,6 @@ _SKIP_PERF_BARS = os.environ.get("REPRO_BENCH_NO_PERF_BARS", "0") not in (
     "",
     "false",
 )
-
-_N_WORKERS = int(os.environ.get("REPRO_TEST_N_WORKERS", "2"))
 
 #: The energy/time weight sweep submitted as daemon jobs.
 _SWEEP = (
@@ -170,58 +162,3 @@ def test_service_warm_sweep_throughput(benchmark, tmp_path):
     # The acceptance bar: a warm store answers the identical sweep at >= 3x
     # the cold jobs/sec.
     assert warm_rate >= 3.0 * cold_rate
-
-
-@pytest.mark.benchmark(group="service-transport")
-def test_shm_vs_pickle_transport(benchmark):
-    cdcg, platform = _workload()
-    population = _population(cdcg, platform)
-    serial = SerialBackend().evaluate_metrics(
-        CdcmEvaluationContext(cdcg, platform, cache_size=0), population
-    )
-
-    def _rate(transport):
-        with SharedArrayBackend(
-            n_workers=_N_WORKERS, min_batch_size=2, transport=transport
-        ) as pool:
-            context = CdcmEvaluationContext(cdcg, platform, cache_size=0)
-            pool.evaluate_metrics(context, population[:2])  # warm the pool
-            start = time.perf_counter()
-            got = pool.evaluate_metrics(
-                CdcmEvaluationContext(cdcg, platform, cache_size=0), population
-            )
-            elapsed = time.perf_counter() - start
-        return got, len(population) / elapsed
-
-    def run():
-        shm_got, shm_rate = _rate("shm")
-        pickle_got, pickle_rate = _rate("pickle")
-        return shm_got, shm_rate, pickle_got, pickle_rate
-
-    shm_got, shm_rate, pickle_got, pickle_rate = benchmark.pedantic(
-        run, rounds=1, iterations=1
-    )
-
-    # Identity half, always asserted: both transports price bit-identically.
-    assert shm_got == serial
-    assert pickle_got == serial
-
-    emit(
-        "Mapping service - candidate pricing rate by pool transport "
-        f"(16x16 mesh, 96 cores, {_N_WORKERS} workers)",
-        f"{'transport':<10} {'candidates/s':>14}\n"
-        f"{'shm':<10} {shm_rate:>14,.1f}\n"
-        f"{'pickle':<10} {pickle_rate:>14,.1f}\n"
-        f"ratio: {shm_rate / pickle_rate:.2f}x",
-    )
-    record_sample(
-        "BENCH_service.json",
-        {
-            "bench": "bench_service",
-            "half": "transport",
-            "shm_candidates_per_s": shm_rate,
-            "pickle_candidates_per_s": pickle_rate,
-            "ratio": shm_rate / pickle_rate,
-            "n_workers": _N_WORKERS,
-        },
-    )

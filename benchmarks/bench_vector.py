@@ -1,29 +1,31 @@
 """Throughput of the CWM array pricing kernel — scalar loop vs NumPy batch.
 
 The vectorised kernel (:mod:`repro.eval.vector`) claims two things: (1) the
-array path is *bit-identical* to the scalar per-candidate loop, so the
-``vectorize`` gate never changes a result; (2) pricing a whole generation as
+array path is *bit-identical* to the scalar per-candidate loop, so batch
+pricing never changes a result; (2) pricing a whole generation as
 one ``(pop, cores)`` gather is at least an order of magnitude faster than the
 scalar batch path, which is what makes population engines (GA / NSGA-II /
 exhaustive chunks) cheap on the CWM model.  This bench pins both on an 8x8
 mesh with a 48-core TGFF-like CWG at populations 256 and 4096:
 
-* identity — every population is priced through both a ``vectorize=False``
-  and a ``vectorize=True`` context (memo disabled so the kernel does all the
-  work) and the metric vectors must compare exactly equal; the raw kernel
-  output must equal the scalar costs too;
+* identity — every population is priced both per candidate through the
+  scalar accumulator (``_compute_metrics``) and as one batch through the
+  context (memo disabled so the kernel does all the work), and the metric
+  vectors must compare exactly equal; the raw kernel output must equal the
+  scalar costs too;
 * throughput — three candidates/sec rates per population:
 
-  - ``scalar``: the per-candidate batch path (``vectorize=False``);
-  - ``context``: the vectorised context fed *Mapping objects* — it pays the
-    per-candidate dict→row conversion, so it shows the gate's end-to-end win
-    for today's engines;
+  - ``scalar``: a per-candidate ``_compute_metrics`` loop on a
+    ``cache_size=0`` context — the same arithmetic as the scalar reference;
+  - ``context``: the context's batch path fed *Mapping objects* — it pays
+    the per-candidate dict→row conversion, so it shows the kernel's
+    end-to-end win for today's engines;
   - ``array``: :meth:`~repro.eval.vector.VectorizedCwmKernel.price` on the
     population already in ``(pop, cores)`` array form — the hot path the
     kernel is built for, with no per-candidate Python objects.
 
-The >= 10x acceptance bar compares the array path against the scalar batch
-path at population 4096.  The identity assertions always run; the bar follows
+The >= 10x acceptance bar compares the array path against the scalar loop
+at population 4096.  The identity assertions always run; the bar follows
 the suite's perf-bar convention (cf. the >= 2x pool bar in
 ``bench_parallel.py``): rates are recorded first, then the bar can be waived
 on constrained or instrumented interpreters by setting
@@ -96,26 +98,22 @@ def test_cwm_array_kernel_throughput(benchmark):
         for size, population in populations.items():
             # cache_size=0 disables the memo so every candidate actually hits
             # the pricing path under measurement.
-            scalar_ctx = CwmEvaluationContext(
-                cwg, platform, cache_size=0, vectorize=False
-            )
-            vector_ctx = CwmEvaluationContext(
-                cwg, platform, cache_size=0, vectorize=True
-            )
+            vector_ctx = CwmEvaluationContext(cwg, platform, cache_size=0)
             kernel = vector_ctx.vector_kernel()  # bind outside the timed region
             tiles = population_to_array(
                 population, order, num_tiles=platform.num_tiles
             )
 
             scalar_metrics, scalar_rate = _timed(
-                lambda: scalar_ctx.evaluate_metrics_batch(population), size
+                lambda: [vector_ctx._compute_metrics(m) for m in population],
+                size,
             )
             vector_metrics, context_rate = _timed(
                 lambda: vector_ctx.evaluate_metrics_batch(population), size
             )
             costs, array_rate = _timed(lambda: kernel.price(tiles), size)
 
-            # The gate's contract: bit-identical results, always.
+            # The kernel's contract: bit-identical results, always.
             assert vector_metrics == scalar_metrics
             assert [float(cost) for cost in costs] == [
                 metric["dynamic_energy"] for metric in scalar_metrics
@@ -135,8 +133,8 @@ def test_cwm_array_kernel_throughput(benchmark):
             f"{array_rate:>14,.0f} {array_rate / scalar_rate:>7.1f}x"
         )
     emit(
-        "Array pricing kernel - CWM candidates/sec, scalar batch path vs "
-        "vectorised context vs raw (pop, cores) array (8x8 mesh, 48 cores)",
+        "Array pricing kernel - CWM candidates/sec, scalar loop vs "
+        "batched context vs raw (pop, cores) array (8x8 mesh, 48 cores)",
         "\n".join(lines),
     )
 
@@ -160,5 +158,5 @@ def test_cwm_array_kernel_throughput(benchmark):
             "above already ran)"
         )
     # The acceptance bar of the array kernel: >= 10x candidates/sec over the
-    # scalar batch path for a pop-4096 generation in array form.
+    # scalar loop for a pop-4096 generation in array form.
     assert array_rate >= 10.0 * scalar_rate

@@ -11,10 +11,8 @@ This example demonstrates the service layer end to end:
    "next day's" process) repeats the identical sweep and re-prices zero
    candidates: hit rate 1.0, and the costs are bit-identical to the cold
    pass;
-3. **the transport** — the same population priced through
-   `SharedArrayBackend`, which ships the batch to pool workers as one
-   shared-memory index array instead of pickled mappings, bit-identical to
-   serial pricing by construction.
+3. **a worker pool** — the same population priced through a
+   `ProcessPoolBackend`, bit-identical to serial pricing by construction.
 
 Run with:  python examples/service_sweep.py
 (set REPRO_EXAMPLES_SMOKE=1 for the tiny-parameter CI smoke configuration)
@@ -31,9 +29,9 @@ from repro import (
     Mapping,
     Mesh,
     Platform,
+    ProcessPoolBackend,
     ResultStore,
     SerialBackend,
-    SharedArrayBackend,
 )
 from repro.workloads.tgff import TgffLikeGenerator, TgffSpec
 
@@ -111,19 +109,15 @@ def main() -> None:
         assert [list(r.costs) for r in warm] == [list(r.costs) for r in cold]
         print(f"balanced-weights winner: cost {min(warm[1].costs):,.0f}\n")
 
-    # --- 3. the shared-memory transport ------------------------------
+    # --- 3. a worker pool ----------------------------------------------
     serial = SerialBackend().evaluate_metrics(
         CdcmEvaluationContext(cdcg, platform, cache_size=0), population
     )
-    with SharedArrayBackend(n_workers=2, min_batch_size=2) as pool:
+    with ProcessPoolBackend(n_workers=2, min_batch_size=2) as pool:
         pooled = pool.evaluate_metrics(
             CdcmEvaluationContext(cdcg, platform, cache_size=0), population
         )
-        print(
-            f"shared-memory pool: {pool.shm_batches} shm batch(es), "
-            f"{pool.pickle_batches} pickle fallback(s)"
-        )
-    assert pooled == serial, "transport must never change a vector"
+    assert pooled == serial, "a worker pool must never change a vector"
     print("pool vectors bit-identical to serial: OK")
 
 

@@ -65,15 +65,6 @@ class ComparisonConfig:
         accept and change a published row).  The comparison still gains the
         route-table pricing speedup either way; set True for production-scale
         sweeps where raw throughput matters more than bit-stable tables.
-    vectorize:
-        Let CWM batch misses be priced by the NumPy array kernel
-        (:mod:`repro.eval.vector`).  Defaults to False here — and only here —
-        for the same bit-stable-tables rationale as ``use_delta``: the kernel
-        is bit-identical to the scalar loop by construction (and
-        property-pinned), but the reproduced rows deliberately exercise the
-        seed arithmetic path, so the comparison keeps the scalar accumulator
-        unless explicitly asked otherwise.  Everywhere else the gate
-        defaults on.
     repair:
         Let CDCM swap deltas be priced by the bounded-repair engine
         (:mod:`repro.eval.repair`).  Defaults to False here — and only here —
@@ -95,7 +86,7 @@ class ComparisonConfig:
         run.  The service is bit-identical to serial pricing by contract
         (and pinned so by ``tests/test_service.py``), but the reproduced
         rows deliberately exercise the seed pricing path, mirroring the
-        ``use_delta`` / ``vectorize`` / ``repair`` conventions.  Pass a
+        ``use_delta`` / ``repair`` conventions.  Pass a
         backend for production-scale sweeps; the comparison borrows it and
         never closes it.
     """
@@ -105,7 +96,6 @@ class ComparisonConfig:
     annealing_schedule: Optional[AnnealingSchedule] = None
     restarts: int = 1
     use_delta: bool = False
-    vectorize: bool = False
     repair: bool = False
     backend: Optional["BatchBackend"] = None
 
@@ -217,7 +207,6 @@ def compare_models(
     framework = FRWFramework(
         cdcg,
         platform,
-        vectorize=config.vectorize,
         repair=config.repair,
         backend=config.backend,
     )

@@ -19,16 +19,20 @@ the subsystem exists to enforce:
   per distinct table and reused across the whole population and every
   generation it survives.
 
-Pricing goes through each context's ``evaluate_metrics_batch`` with one
-shared :class:`~repro.eval.parallel.BatchBackend`, children grouped by
-routing in first-seen order — the same deterministic parallel seam as the
+The generational loop is the shared
+:func:`~repro.search.population.evolve` with NSGA-III's
+:class:`~repro.search.nsga3.ReferencePointSelection`; this module supplies
+only the genome part, :class:`RoutedGenome`.  Pricing goes through each
+context's ``evaluate_metrics_batch`` with one shared
+:class:`~repro.eval.parallel.BatchBackend`, children grouped by routing in
+first-seen order — the same deterministic parallel seam as the other
 population engines, so seeded runs are bit-identical across serial and
 pooled pricing.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.graphs.cdcg import CDCG
@@ -43,15 +47,15 @@ from repro.codesign.synthesis import (
 from repro.eval.context import CdcmEvaluationContext, EvaluationContext
 from repro.noc.deadlock import Channel
 from repro.noc.platform import Platform
-from repro.search.base import PoolOwnerMixin, Searcher, SearchResult
-from repro.search.genetic import swap_mutation, uniform_assignment_crossover
-from repro.search.nsga2 import fast_non_dominated_sort
-from repro.search.nsga3 import (
-    _normalise,
-    associate_to_references,
-    das_dennis_reference_points,
-    default_divisions,
-    niche_select,
+from repro.search.base import SearchResult
+from repro.search.nsga3 import ReferencePointSelection
+from repro.search.population import (
+    Evolution,
+    Genome,
+    PopulationParameters,
+    PopulationSearch,
+    evolve,
+    fast_non_dominated_sort,
 )
 from repro.utils.errors import ConfigurationError
 from repro.utils.rng import RandomSource, ensure_rng
@@ -70,21 +74,17 @@ DEFAULT_CODESIGN_KEYS: Tuple[str, ...] = (
 
 
 @dataclass(frozen=True)
-class CodesignParameters:
+class CodesignParameters(PopulationParameters):
     """Knobs of :class:`CodesignSearch`.
+
+    The shared fields are documented on
+    :class:`~repro.search.population.PopulationParameters`; here
+    ``population_size`` (default 16) counts ``(table, mapping)`` genomes,
+    ``generations`` defaults to 12, and the crossover / mutation rates act
+    on the mapping half.
 
     Attributes
     ----------
-    population_size:
-        ``(table, mapping)`` individuals per generation (at least 4).
-    generations:
-        Number of (mu + lambda) generations to evolve.
-    tournament_size:
-        Individuals drawn per niched tournament.
-    crossover_rate:
-        Probability a child's *mapping* comes from uniform crossover.
-    mutation_rate:
-        Probability a child's mapping is mutated by one tile swap.
     table_mutation_rate:
         Probability a child's *table* is mutated (otherwise it inherits the
         first parent's certified table unchanged — alternation between
@@ -100,39 +100,10 @@ class CodesignParameters:
 
     population_size: int = 16
     generations: int = 12
-    tournament_size: int = 2
-    crossover_rate: float = 0.9
-    mutation_rate: float = 0.3
     table_mutation_rate: float = 0.5
     table_mutations: int = 2
     divisions: Optional[int] = None
     n_workers: Optional[int] = None
-
-    def __post_init__(self) -> None:
-        if self.population_size < 4:
-            raise ConfigurationError("population_size must be at least 4")
-        if self.generations < 1:
-            raise ConfigurationError("generations must be positive")
-        if not 1 <= self.tournament_size <= self.population_size:
-            raise ConfigurationError(
-                "tournament_size must be between 1 and population_size"
-            )
-        for name in ("crossover_rate", "mutation_rate", "table_mutation_rate"):
-            value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
-                raise ConfigurationError(f"{name} must be in [0, 1]")
-        if self.table_mutations < 1:
-            raise ConfigurationError(
-                f"table_mutations must be positive, got {self.table_mutations}"
-            )
-        if self.divisions is not None and self.divisions < 1:
-            raise ConfigurationError(
-                f"divisions must be positive, got {self.divisions}"
-            )
-        if self.n_workers is not None and self.n_workers < 1:
-            raise ConfigurationError(
-                f"n_workers must be positive, got {self.n_workers}"
-            )
 
 
 class _Individual(NamedTuple):
@@ -173,7 +144,161 @@ class CodesignResult(SearchResult):
     last_witness: Tuple[Channel, ...] = ()
 
 
-class CodesignSearch(PoolOwnerMixin, Searcher):
+class RoutedGenome(Genome):
+    """``(certified routing table, mapping)`` individuals of one co-design run.
+
+    * **seed** — every registry seed table paired with the initial mapping,
+      then random ``(table, mapping)`` pairs (a rejected random table falls
+      back to the first seed); the first seed's pricing context fixes the
+      dominance keys and the incumbent's weight view;
+    * **child** — the mapping half breeds like a plain mapping, then a coin
+      mutates the first parent's table, which must pass the deadlock gate
+      (a rejected table falls back to the parent's certified one);
+    * **price** — children grouped by routing digest in first-seen order,
+      each group through its routing's context (certify before price:
+      contexts exist only for certified routings);
+    * **end of generation** — contexts of routings no survivor (nor the
+      incumbent) carries are dropped.
+    """
+
+    def __init__(self, engine: "CodesignSearch", initial: Mapping) -> None:
+        super().__init__(engine, initial)
+        self.engine = engine
+        self.contexts: Dict[str, EvaluationContext] = {}
+        self.weights: Dict[str, float] = {}
+        self.certified = 0
+        self.rejected = 0
+        self.repaired = 0
+        self.last_witness: Tuple[Channel, ...] = ()
+
+    def certify(self, table: NextHopTable) -> Optional[SynthesizedRouting]:
+        """Run *table* through the deadlock gate (``None`` when rejected)."""
+        outcome = self.engine.synthesizer.certify(
+            table, policy=self.engine.certification_policy
+        )
+        if outcome.witness:
+            self.last_witness = outcome.witness
+        if not outcome.certified:
+            self.rejected += 1
+            return None
+        self.certified += 1
+        if outcome.repaired:
+            self.repaired += 1
+        return outcome.routing
+
+    def context_for(self, routing: SynthesizedRouting) -> EvaluationContext:
+        """The (cached) pricing context of a certified *routing*."""
+        context = self.contexts.get(routing.digest)
+        if context is None:
+            engine = self.engine
+            context = engine.context_factory(engine.platform.with_routing(routing))
+            self.contexts[routing.digest] = context
+        return context
+
+    def seed(self, rng) -> List[_Individual]:
+        size = self.parameters.population_size
+        synthesizer = self.engine.synthesizer
+        population: List[_Individual] = []
+        for table in list(synthesizer.seed_tables().values())[:size]:
+            routing = self.certify(table)
+            assert routing is not None  # seeds certified at construction
+            population.append(_Individual(routing, self.initial))
+        fallback = population[0].routing
+        while len(population) < size:
+            routing = self.certify(synthesizer.random_table(rng))
+            if routing is None:
+                routing = fallback
+            mapping = Mapping.random(self.cores, self.num_tiles, rng)
+            population.append(_Individual(routing, mapping))
+        first_context = self.context_for(fallback)
+        self.keys = self.engine._resolve_keys(first_context)
+        self.weights = dict(getattr(first_context, "weights", None) or {})
+        return population
+
+    def child(
+        self, parent_a: _Individual, parent_b: _Individual, rng
+    ) -> _Individual:
+        mapping = self.breed(parent_a.mapping, parent_b.mapping, rng)
+        routing = parent_a.routing
+        if rng.random() < self.parameters.table_mutation_rate:
+            mutated = self.engine.synthesizer.mutate(
+                routing.next_hops, rng, mutations=self.parameters.table_mutations
+            )
+            candidate = self.certify(mutated)
+            if candidate is not None:
+                routing = candidate
+                self.mutations += 1
+        return _Individual(routing, mapping)
+
+    def price(self, individuals: Sequence[_Individual]) -> List[MetricVector]:
+        groups: Dict[str, List[int]] = {}
+        for index, individual in enumerate(individuals):
+            groups.setdefault(individual.routing.digest, []).append(index)
+        vectors: List[Optional[MetricVector]] = [None] * len(individuals)
+        for indices in groups.values():
+            context = self.context_for(individuals[indices[0]].routing)
+            priced = context.evaluate_metrics_batch(
+                [individuals[i].mapping for i in indices], backend=self.backend
+            )
+            for position, vector in zip(indices, priced):
+                vectors[position] = vector
+        return vectors  # type: ignore[return-value]
+
+    def score(self, individual: _Individual, vector: MetricVector) -> float:
+        if self.weights:
+            return vector.weighted_sum(self.weights, strict=False)
+        return vector[self.keys[0]]
+
+    def end_generation(
+        self, population: Sequence[_Individual], best: _Individual
+    ) -> None:
+        # Extinct routings' contexts are dropped (their route tables stay in
+        # the process cache); survivors keep their memos warm.
+        live = {individual.routing.digest for individual in population}
+        live.add(best.routing.digest)
+        for digest in [d for d in self.contexts if d not in live]:
+            del self.contexts[digest]
+
+    def result(self, run: Evolution) -> "CodesignResult":
+        # Rank-0 genomes with routings kept aligned (dominance on indices
+        # rather than repro.analysis.pareto.non_dominated, which would lose
+        # the mapping->routing pairing).
+        from repro.analysis.pareto import ParetoPoint
+
+        front_points: List[ParetoPoint] = []
+        front_routings: List[SynthesizedRouting] = []
+        seen = set()
+        for index in fast_non_dominated_sort(run.vectors, self.keys)[0]:
+            individual = run.population[index]
+            key = (
+                individual.routing.digest,
+                tuple(sorted(individual.mapping.assignments().items())),
+            )
+            if key in seen:
+                continue
+            seen.add(key)
+            front_points.append(
+                ParetoPoint(mapping=individual.mapping, metrics=run.vectors[index])
+            )
+            front_routings.append(individual.routing)
+        return CodesignResult(
+            best_mapping=run.best.mapping,
+            best_cost=run.best_cost,
+            evaluations=run.evaluations,
+            history=run.history,
+            accepted_moves=self.mutations,
+            best_metrics=run.best_vector,
+            front=front_points,
+            best_routing=run.best.routing,
+            front_routings=front_routings,
+            tables_certified=self.certified,
+            tables_rejected=self.rejected,
+            tables_repaired=self.repaired,
+            last_witness=self.last_witness,
+        )
+
+
+class CodesignSearch(PopulationSearch):
     """NSGA-III co-evolution of deadlock-free route tables and mappings.
 
     Parameters
@@ -214,6 +339,10 @@ class CodesignSearch(PoolOwnerMixin, Searcher):
     """
 
     name = "codesign"
+    label = "co-design"
+    parameters_class = CodesignParameters
+    selection_class = ReferencePointSelection
+    default_keys = DEFAULT_CODESIGN_KEYS
 
     def __init__(
         self,
@@ -227,10 +356,7 @@ class CodesignSearch(PoolOwnerMixin, Searcher):
         backend=None,
         n_workers: Optional[int] = None,
     ) -> None:
-        params = parameters or CodesignParameters()
-        if n_workers is not None:
-            params = replace(params, n_workers=n_workers)
-        self.parameters = params
+        super().__init__(parameters, keys, backend, n_workers)
         self.platform = platform
         self.certification_policy = certification_policy
         if context_factory is None:
@@ -244,12 +370,6 @@ class CodesignSearch(PoolOwnerMixin, Searcher):
                 application, routed
             )
         self.context_factory = context_factory
-        if keys is not None and not tuple(keys):
-            raise ConfigurationError(
-                "dominance keys must name at least one metric (or pass None "
-                "for the energy/time/congestion default)"
-            )
-        self.keys = tuple(keys) if keys is not None else None
         self.synthesizer = synthesizer or TableSynthesizer(platform.mesh)
         if self.synthesizer.topology is not platform.mesh:
             if self.synthesizer.topology.num_tiles != platform.num_tiles:
@@ -257,64 +377,7 @@ class CodesignSearch(PoolOwnerMixin, Searcher):
                     f"synthesizer covers {self.synthesizer.topology} but the "
                     f"platform fabric is {platform.mesh}"
                 )
-        self._backend = backend
-        self._owned_backend = None
 
-    # ------------------------------------------------------------------
-    # Certification and pricing plumbing
-    # ------------------------------------------------------------------
-    def _resolve_keys(self, source: EvaluationContext) -> Tuple[str, ...]:
-        names = tuple(source.metric_names)
-        if self.keys is None:
-            preferred = tuple(
-                key for key in DEFAULT_CODESIGN_KEYS if key in names
-            )
-            return preferred if len(preferred) >= 2 else names
-        unknown = [key for key in self.keys if key not in names]
-        if unknown:
-            raise ConfigurationError(
-                f"dominance keys {unknown!r} are not components of the "
-                f"pricing context; available metrics are {names}"
-            )
-        return self.keys
-
-    def _context_for(
-        self,
-        routing: SynthesizedRouting,
-        contexts: Dict[str, EvaluationContext],
-    ) -> EvaluationContext:
-        # Contexts exist only for certified routings: every entry to this
-        # dict goes through _certify below, which is the structural form of
-        # the certify-before-price invariant.
-        context = contexts.get(routing.digest)
-        if context is None:
-            context = self.context_factory(self.platform.with_routing(routing))
-            contexts[routing.digest] = context
-        return context
-
-    def _price(
-        self,
-        individuals: Sequence[_Individual],
-        contexts: Dict[str, EvaluationContext],
-        backend,
-    ) -> List[MetricVector]:
-        """Batch-price *individuals*, grouped by routing in first-seen order."""
-        groups: Dict[str, List[int]] = {}
-        for index, individual in enumerate(individuals):
-            groups.setdefault(individual.routing.digest, []).append(index)
-        vectors: List[Optional[MetricVector]] = [None] * len(individuals)
-        for digest, indices in groups.items():
-            context = self._context_for(individuals[indices[0]].routing, contexts)
-            priced = context.evaluate_metrics_batch(
-                [individuals[i].mapping for i in indices], backend=backend
-            )
-            for position, vector in zip(indices, priced):
-                vectors[position] = vector
-        return vectors  # type: ignore[return-value]
-
-    # ------------------------------------------------------------------
-    # The search loop
-    # ------------------------------------------------------------------
     def search(
         self,
         objective=None,
@@ -359,235 +422,14 @@ class CodesignSearch(PoolOwnerMixin, Searcher):
         if objective is not None:
             self.context_factory = objective
         try:
-            return self._search(initial, rng)
+            return evolve(
+                self.parameters,
+                RoutedGenome(self, initial),
+                self.selection_class,
+                ensure_rng(rng),
+            )
         finally:
             self.context_factory = factory
-
-    def _search(self, initial: Mapping, rng: RandomSource) -> CodesignResult:
-        from repro.analysis.pareto import ParetoPoint
-
-        params = self.parameters
-        synthesizer = self.synthesizer
-        policy = self.certification_policy
-        generator = ensure_rng(rng)
-        num_tiles = initial.num_tiles
-        if num_tiles is None:
-            raise ConfigurationError(
-                "co-design search requires the initial mapping to know the "
-                "NoC size"
-            )
-        cores = initial.cores
-        backend = self._resolve_backend(params.n_workers)
-        contexts: Dict[str, EvaluationContext] = {}
-        certified_count = 0
-        rejected_count = 0
-        repaired_count = 0
-        last_witness: Tuple[Channel, ...] = ()
-
-        def certify(table: NextHopTable) -> Optional[SynthesizedRouting]:
-            nonlocal certified_count, rejected_count, repaired_count
-            nonlocal last_witness
-            result = synthesizer.certify(table, policy=policy)
-            if result.witness:
-                last_witness = result.witness
-            if not result.certified:
-                rejected_count += 1
-                return None
-            certified_count += 1
-            if result.repaired:
-                repaired_count += 1
-            return result.routing
-
-        # Seed population: every certified registry seed paired with the
-        # initial mapping, then random (table, mapping) genomes — random
-        # tables still pass the gate (repair policy keeps them; reject
-        # policy falls back to the first seed).
-        seeds = list(synthesizer.seed_tables().values())
-        population: List[_Individual] = []
-        for table in seeds[: params.population_size]:
-            routing = certify(table)
-            assert routing is not None  # seeds certified at construction
-            population.append(_Individual(routing, initial))
-        fallback_routing = population[0].routing
-        while len(population) < params.population_size:
-            routing = certify(synthesizer.random_table(generator))
-            if routing is None:
-                routing = fallback_routing
-            mapping = Mapping.random(cores, num_tiles, generator)
-            population.append(_Individual(routing, mapping))
-
-        first_context = self._context_for(population[0].routing, contexts)
-        keys = self._resolve_keys(first_context)
-        divisions = params.divisions
-        if divisions is None:
-            divisions = default_divisions(len(keys), params.population_size)
-        references = das_dennis_reference_points(len(keys), divisions)
-        weights = dict(getattr(first_context, "weights", None) or {})
-
-        def score(vector: MetricVector) -> float:
-            if weights:
-                return vector.weighted_sum(weights, strict=False)
-            return vector[keys[0]]
-
-        vectors = self._price(population, contexts, backend)
-        evaluations = len(population)
-        mutations = 0
-
-        costs = [score(vector) for vector in vectors]
-        best_idx = min(range(len(population)), key=costs.__getitem__)
-        best, best_cost = population[best_idx], costs[best_idx]
-        best_vector = vectors[best_idx]
-        history: List[Tuple[int, float]] = [(evaluations, best_cost)]
-
-        for _ in range(params.generations):
-            fronts = fast_non_dominated_sort(vectors, keys)
-            ranks = [0] * len(population)
-            for rank, front in enumerate(fronts):
-                for index in front:
-                    ranks[index] = rank
-            normalised = _normalise(range(len(population)), vectors, keys)
-            association = associate_to_references(normalised, references)
-            niche_counts = [0] * len(references)
-            for index in range(len(population)):
-                niche_counts[association[index][0]] += 1
-
-            # Whole brood first (fixed RNG consumption order per child:
-            # two tournaments, mapping coins, table coin), then grouped
-            # batch pricing — the deterministic parallel seam.
-            children: List[_Individual] = []
-            while len(children) < params.population_size:
-                parent_a = self._tournament(
-                    population, ranks, association, niche_counts, generator
-                )
-                parent_b = self._tournament(
-                    population, ranks, association, niche_counts, generator
-                )
-                if generator.random() < params.crossover_rate:
-                    mapping = uniform_assignment_crossover(
-                        parent_a.mapping,
-                        parent_b.mapping,
-                        cores,
-                        num_tiles,
-                        generator,
-                    )
-                else:
-                    mapping = parent_a.mapping
-                if generator.random() < params.mutation_rate:
-                    mapping = swap_mutation(mapping, num_tiles, generator)
-                    mutations += 1
-                routing = parent_a.routing
-                if generator.random() < params.table_mutation_rate:
-                    mutated = synthesizer.mutate(
-                        routing.next_hops,
-                        generator,
-                        mutations=params.table_mutations,
-                    )
-                    candidate = certify(mutated)
-                    if candidate is not None:
-                        routing = candidate
-                        mutations += 1
-                    # Rejected tables fall back to the parent's certified
-                    # routing: nothing uncertified ever reaches pricing.
-                children.append(_Individual(routing, mapping))
-            child_vectors = self._price(children, contexts, backend)
-            evaluations += len(children)
-
-            for individual, vector in zip(children, child_vectors):
-                cost = score(vector)
-                if cost < best_cost:
-                    best, best_cost, best_vector = individual, cost, vector
-                    history.append((evaluations, best_cost))
-
-            # (mu + lambda) environmental selection, NSGA-III style.
-            combined = population + children
-            combined_vectors = vectors + child_vectors
-            survivors: List[int] = []
-            for front in fast_non_dominated_sort(combined_vectors, keys):
-                if len(survivors) + len(front) <= params.population_size:
-                    survivors.extend(front)
-                    if len(survivors) == params.population_size:
-                        break
-                    continue
-                survivors.extend(
-                    niche_select(
-                        survivors,
-                        front,
-                        combined_vectors,
-                        keys,
-                        references,
-                        params.population_size - len(survivors),
-                    )
-                )
-                break
-            population = [combined[i] for i in survivors]
-            vectors = [combined_vectors[i] for i in survivors]
-
-            # Contexts for extinct routings are dropped (their route tables
-            # stay in the process cache); survivors keep their memos warm.
-            live = {individual.routing.digest for individual in population}
-            live.add(best.routing.digest)
-            for digest in [d for d in contexts if d not in live]:
-                del contexts[digest]
-
-        # Final non-dominated genomes, routings kept aligned (dominance on
-        # rank-0 indices rather than repro.analysis.pareto.non_dominated,
-        # which would lose the mapping->routing pairing).
-        front_indices = fast_non_dominated_sort(vectors, keys)[0]
-        front_points: List[ParetoPoint] = []
-        front_routings: List[SynthesizedRouting] = []
-        seen = set()
-        for index in front_indices:
-            individual = population[index]
-            key = (
-                individual.routing.digest,
-                tuple(sorted(individual.mapping.assignments().items())),
-            )
-            if key in seen:
-                continue
-            seen.add(key)
-            front_points.append(
-                ParetoPoint(mapping=individual.mapping, metrics=vectors[index])
-            )
-            front_routings.append(individual.routing)
-
-        return CodesignResult(
-            best_mapping=best.mapping,
-            best_cost=best_cost,
-            evaluations=evaluations,
-            history=history,
-            accepted_moves=mutations,
-            best_metrics=best_vector,
-            front=front_points,
-            best_routing=best.routing,
-            front_routings=front_routings,
-            tables_certified=certified_count,
-            tables_rejected=rejected_count,
-            tables_repaired=repaired_count,
-            last_witness=last_witness,
-        )
-
-    # ------------------------------------------------------------------
-    def _tournament(
-        self,
-        population: List[_Individual],
-        ranks: List[int],
-        association: Dict[int, Tuple[int, float]],
-        niche_counts: List[int],
-        rng,
-    ) -> _Individual:
-        """Niched tournament over genomes (same key as NSGA-III)."""
-        size = self.parameters.tournament_size
-        indices = rng.integers(0, len(population), size=size)
-        winner = min(
-            (int(index) for index in indices),
-            key=lambda index: (
-                ranks[index],
-                niche_counts[association[index][0]],
-                association[index][1],
-                index,
-            ),
-        )
-        return population[winner]
 
 
 __all__ = [
@@ -596,4 +438,5 @@ __all__ = [
     "CodesignParameters",
     "CodesignResult",
     "CodesignSearch",
+    "RoutedGenome",
 ]

@@ -97,9 +97,10 @@ class LoadAwareCwmContext(CwmEvaluationContext):
 
     The vector is ``("dynamic_energy", "max_link_load", "link_load_spread")``
     — see :data:`LOAD_METRIC_NAMES`.  The energy component is produced by the
-    parent's machinery unmodified (scalar loop *or* array kernel — the chunk
-    path delegates to :class:`~repro.eval.context.CwmEvaluationContext`, so
-    kernel-priced energies stay bit-identical to serial); the two congestion
+    parent's machinery unmodified (scalar loop per candidate, array kernel
+    per batch — the chunk path delegates to
+    :class:`~repro.eval.context.CwmEvaluationContext`, so kernel-priced
+    energies stay bit-identical to the scalar loop); the two congestion
     components are accumulated from the same shared route table.
 
     The constructor signature, default ``weights`` (``{"dynamic_energy":

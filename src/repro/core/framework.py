@@ -102,14 +102,6 @@ class FRWFramework:
         Optional explicit CWG.  Must be consistent with the CDCG; supplying it
         is only useful when the application was natively captured as a CWG and
         the CDCG was produced later by hand, as the paper describes.
-    vectorize:
-        Forwarded to every :class:`CwmEvaluationContext` the framework builds
-        (the shared context and each :meth:`objective` context): whether CWM
-        batch misses are priced by the NumPy array kernel of
-        :mod:`repro.eval.vector`.  ``None`` (default) follows the
-        context's default — on; the comparison driver pins it off for the
-        reproduced paper rows (see
-        :class:`~repro.analysis.comparison.ComparisonConfig`).
     repair:
         Forwarded to every :class:`CdcmEvaluationContext` the framework
         builds: whether CDCM swap deltas are priced by the bounded-repair
@@ -136,7 +128,6 @@ class FRWFramework:
         cdcg: CDCG,
         platform: Platform,
         cwg: Optional[CWG] = None,
-        vectorize: Optional[bool] = None,
         repair: Optional[bool] = None,
         repair_policy: Optional[RepairPolicy] = None,
         backend: Optional["BatchBackend"] = None,
@@ -154,7 +145,6 @@ class FRWFramework:
         # objective handed to a search engine, and every evaluate() call,
         # prices mappings against the same precomputed tables and memo.
         self.route_table = get_route_table(platform)
-        self._vectorize = vectorize
         self._repair = repair
         self._repair_policy = repair_policy
         self._backend = backend
@@ -162,7 +152,6 @@ class FRWFramework:
             self.cwg,
             platform,
             route_table=self.route_table,
-            vectorize=vectorize,
             backend=backend,
         )
         self._cdcm_context = CdcmEvaluationContext(
@@ -216,7 +205,6 @@ class FRWFramework:
                 self.cwg,
                 self.platform,
                 route_table=self.route_table,
-                vectorize=self._vectorize,
                 backend=self._backend,
             )
             if weights is not None:

@@ -47,8 +47,7 @@ NumPy: :class:`~repro.eval.vector.VectorizedCwmKernel` binds an application
 as flat edge arrays over the route table's dense matrices
 (:meth:`~repro.eval.route_table.RouteTable.as_arrays`) and prices a whole
 ``(pop, cores)`` population per call — bit-identical to the scalar
-accumulator, default-on for search and pinned off by the paper-reproduction
-comparison config.
+accumulator, so every CWM batch miss is priced through it.
 
 A fifth, incremental half (:mod:`repro.eval.repair`) gives the CDCM model a
 swap delta after all: :class:`~repro.eval.repair.CdcmRepairEngine` keeps the
@@ -57,7 +56,7 @@ and prices a two-tile swap by replaying only the packets the swap can
 disturb, with a running drift estimate and periodic full-replay resyncs
 (:class:`~repro.eval.repair.RepairPolicy`) — default-on for search
 (:data:`~repro.eval.repair.DEFAULT_REPAIR`) and pinned off by the
-paper-reproduction comparison config, like ``use_delta`` / ``vectorize``.
+paper-reproduction comparison config, like ``use_delta``.
 
 Search engines discover delta support through the objective's
 ``supports_delta`` attribute (see :func:`repro.search.base.delta_callable`),
@@ -93,7 +92,6 @@ from repro.eval.repair import (
     RepairStats,
 )
 from repro.eval.vector import (
-    DEFAULT_VECTORIZE,
     VectorizedCwmKernel,
     array_to_mappings,
     population_to_array,
@@ -113,7 +111,6 @@ __all__ = [
     "SerialBackend",
     "ProcessPoolBackend",
     "warm_route_table",
-    "DEFAULT_VECTORIZE",
     "VectorizedCwmKernel",
     "population_to_array",
     "array_to_mappings",

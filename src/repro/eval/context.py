@@ -54,7 +54,7 @@ Two concrete contexts mirror the paper's two models:
   background, with periodic full-replay resyncs bounding the drift.  The
   gate is default-on (:data:`~repro.eval.repair.DEFAULT_REPAIR`) and pinned
   off by :class:`~repro.analysis.comparison.ComparisonConfig`, mirroring
-  ``use_delta`` / ``vectorize``.
+  ``use_delta``.
 """
 
 from __future__ import annotations
@@ -91,7 +91,7 @@ from repro.eval.route_table import (
     is_shared_route_table,
 )
 from repro.eval.repair import DEFAULT_REPAIR, CdcmRepairEngine, RepairPolicy
-from repro.eval.vector import DEFAULT_VECTORIZE, VectorizedCwmKernel
+from repro.eval.vector import VectorizedCwmKernel
 from repro.graphs.cdcg import CDCG
 from repro.graphs.cwg import CWG
 from repro.noc.platform import Platform
@@ -149,8 +149,8 @@ class EvaluationContext(ABC):
     #: Whether inline (backend-free) batches should be deduplicated and
     #: priced through :meth:`_compute_metrics_chunk` instead of per-candidate
     #: :meth:`metrics` calls.  Contexts with an array pricing path (see
-    #: :mod:`repro.eval.vector`) set this when their ``vectorize`` gate is
-    #: on; the base default keeps the legacy per-candidate inline path.
+    #: :mod:`repro.eval.vector`) set this; the base default keeps the
+    #: per-candidate inline path.
     _chunked_inline: bool = False
 
     #: Names of the components :meth:`metrics` produces, in scalarisation
@@ -401,8 +401,7 @@ class EvaluationContext(ABC):
         :class:`~repro.eval.parallel.ProcessPoolBackend` worker per task) and
         the inline dedup path all price misses through this method.  The base
         implementation loops per candidate; contexts with an array pricing
-        path (:class:`CwmEvaluationContext` when ``vectorize`` is on)
-        override it to price the whole chunk with one kernel call —
+        path (:class:`CwmEvaluationContext`) override it to price the whole chunk with one kernel call —
         bit-identical by construction, so *where* a chunk is priced never
         changes a value.
         """
@@ -444,19 +443,14 @@ class CwmEvaluationContext(EvaluationContext):
     backend:
         Default :class:`~repro.eval.parallel.BatchBackend` for
         :meth:`EvaluationContext.evaluate_batch`; ``None`` prices inline.
-    vectorize:
-        Whether batch misses are priced by the NumPy array kernel
-        (:class:`~repro.eval.vector.VectorizedCwmKernel`) instead of the
-        per-candidate scalar loop.  ``None`` (the default) follows
-        :data:`~repro.eval.vector.DEFAULT_VECTORIZE` — on, the right choice
-        for search, since the kernel is bit-identical to the scalar path by
-        construction.  :class:`~repro.analysis.comparison.ComparisonConfig`
-        pins it off for the paper-reproduction rows, mirroring the
-        ``use_delta`` convention.  Per-candidate pricing (:meth:`cost`,
-        :meth:`metrics`, :meth:`delta`) always stays scalar.
-
     Notes
     -----
+    Batch misses are priced by the NumPy array kernel
+    (:class:`~repro.eval.vector.VectorizedCwmKernel`), which is
+    bit-identical to the per-candidate scalar loop by construction;
+    per-candidate pricing (:meth:`cost`, :meth:`metrics`, :meth:`delta`)
+    stays scalar and is the reference the kernel is tested against.
+
     Pickling is *light*: the memo and the backend are always dropped, and
     the process-shared route table is dropped too — the unpickled context
     rebuilds an identical one via
@@ -468,6 +462,7 @@ class CwmEvaluationContext(EvaluationContext):
 
     supports_delta = True
     supports_metric_delta = True
+    _chunked_inline = True
     metric_names = CWM_METRIC_NAMES
 
     def __init__(
@@ -478,7 +473,6 @@ class CwmEvaluationContext(EvaluationContext):
         route_table: Optional[RouteTable] = None,
         cache_size: int = DEFAULT_CACHE_SIZE,
         backend: Optional["BatchBackend"] = None,
-        vectorize: Optional[bool] = None,
     ) -> None:
         super().__init__(cache_size, backend)
         self.cwg = cwg
@@ -491,10 +485,6 @@ class CwmEvaluationContext(EvaluationContext):
         )
         self.name = f"cwm({cwg.name})"
         self.weights = {"dynamic_energy": 1.0}
-        self.vectorize = (
-            DEFAULT_VECTORIZE if vectorize is None else bool(vectorize)
-        )
-        self._chunked_inline = self.vectorize
         # The kernel binds lazily on the first chunk: building it densifies
         # lazy route tables, which sparse per-candidate use should not pay.
         self._kernel: Optional[VectorizedCwmKernel] = None
@@ -527,7 +517,6 @@ class CwmEvaluationContext(EvaluationContext):
             "include_local": self.include_local,
             "cache_size": self._cache_size,
             "route_table": None if shared else self.route_table,
-            "vectorize": self.vectorize,
         }
 
     def __setstate__(self, state: Dict[str, Any]) -> None:
@@ -537,7 +526,6 @@ class CwmEvaluationContext(EvaluationContext):
             include_local=state["include_local"],
             route_table=state.get("route_table"),
             cache_size=state["cache_size"],
-            vectorize=state.get("vectorize"),
         )
 
     # ------------------------------------------------------------------
@@ -609,17 +597,16 @@ class CwmEvaluationContext(EvaluationContext):
     def _compute_metrics_chunk(
         self, mappings: Sequence[Union[Mapping, Dict[str, int]]]
     ) -> List[MetricVector]:
-        """Chunk pricing: one kernel gather per chunk when vectorised.
+        """Chunk pricing: one kernel gather per chunk.
 
         Candidates are validated exactly like the scalar path (same
         :class:`~repro.utils.errors.MappingError` conditions), stacked into a
         ``(pop, cores)`` array and priced by :meth:`vector_kernel` in one
-        call.  With ``vectorize`` off, falls back to the base per-candidate
-        loop.
+        call.
         """
         items = list(mappings)
-        if not self.vectorize or not items:
-            return [self._compute_metrics(mapping) for mapping in items]
+        if not items:
+            return []
         kernel = self.vector_kernel()
         order = kernel.core_order
         required = kernel.required_cores
@@ -765,7 +752,7 @@ class CdcmEvaluationContext(EvaluationContext):
         drift-bounded between them).
         :class:`~repro.analysis.comparison.ComparisonConfig` pins it off so
         the paper-reproduction rows keep pure full-replay pricing,
-        mirroring the ``use_delta`` / ``vectorize`` conventions.  Full
+        mirroring the ``use_delta`` convention.  Full
         evaluations (:meth:`EvaluationContext.cost`,
         :meth:`EvaluationContext.metrics`, batches) always stay full-replay.
     repair_policy:
@@ -814,8 +801,7 @@ class CdcmEvaluationContext(EvaluationContext):
         self.repair = DEFAULT_REPAIR if repair is None else bool(repair)
         self.repair_policy = repair_policy
         # Instance-level capability flags shadow the class defaults so
-        # engines discover delta support per gate state, exactly like the
-        # CWM ``vectorize`` gate toggles its chunked pricing.
+        # engines discover delta support per gate state.
         self.supports_delta = self.repair
         self.supports_metric_delta = self.repair
         # The engine binds lazily on the first delta: building it replays

@@ -45,8 +45,7 @@ The engine is consumed through
 :meth:`repro.eval.context.CdcmEvaluationContext.metric_delta` behind the
 ``repair`` gate (default-on via :data:`DEFAULT_REPAIR`, pinned off by
 :class:`repro.analysis.comparison.ComparisonConfig` so the paper-reproduction
-rows keep full-replay pricing), mirroring the ``use_delta`` / ``vectorize``
-conventions.
+rows keep full-replay pricing), mirroring the ``use_delta`` convention.
 """
 
 from __future__ import annotations
@@ -73,8 +72,8 @@ from repro.utils.errors import ConfigurationError, MappingError
 
 #: Default state of the CDCM bounded-repair gate — on, the right choice for
 #: swap-based search; :class:`~repro.analysis.comparison.ComparisonConfig`
-#: pins it off for the paper-reproduction rows (the ``use_delta`` /
-#: ``vectorize`` convention).
+#: pins it off for the paper-reproduction rows (the ``use_delta``
+#: convention).
 DEFAULT_REPAIR = True
 
 #: Relative floor under which drift comparisons treat the tracked cost as 1.

@@ -21,22 +21,17 @@ path — it is bit-identical, the same way serial and pooled pricing are.  The
 scalar accumulator adds per-edge contributions left to right in CWG edge
 order; a matmul or ``np.sum`` would use pairwise summation and round
 differently, so the kernel reduces each row with ``np.add.accumulate`` (a
-strictly sequential cumulative sum) over the same edge order.  This is what
-lets the vector path be default-on for search without perturbing a single
-accept/reject decision, and what the property tests in
-``tests/test_vector.py`` pin.
+strictly sequential cumulative sum) over the same edge order.  This is why
+:class:`~repro.eval.context.CwmEvaluationContext` prices every batch miss
+through the kernel without perturbing a single accept/reject decision, and
+what the property tests in ``tests/test_vector.py`` pin against the
+per-candidate scalar loop.
 
 The CDCM volume/hop metric components are route-table gathers too: a kernel
 built with :meth:`VectorizedCwmKernel.from_cdcg` prices the per-packet
 dynamic energy of equation (4) and the bits-times-hops volume in the same
 way.  The contention and timing terms of CDCM stay on the scalar scheduler —
 they are global replay quantities, not gathers.
-
-Gating follows the ``use_delta`` precedent:
-:class:`~repro.eval.context.CwmEvaluationContext` vectorises by default
-(:data:`DEFAULT_VECTORIZE`), and
-:class:`~repro.analysis.comparison.ComparisonConfig` pins the flag off so the
-reproduced paper tables keep the exact seed arithmetic path.
 """
 
 from __future__ import annotations
@@ -52,11 +47,6 @@ if TYPE_CHECKING:  # pragma: no cover - imports only used by type checkers
     from repro.eval.route_table import RouteTable
     from repro.graphs.cdcg import CDCG
     from repro.graphs.cwg import CWG
-
-#: Default state of the ``vectorize`` gate on contexts that support it
-#: (mirrors the ``use_delta`` convention: on for search, pinned off by
-#: :class:`~repro.analysis.comparison.ComparisonConfig`).
-DEFAULT_VECTORIZE = True
 
 #: Upper bound on the number of gathered elements a single pricing block may
 #: materialise; larger populations are priced in row blocks so peak memory
@@ -447,7 +437,6 @@ class VectorizedCwmKernel:
 
 
 __all__ = [
-    "DEFAULT_VECTORIZE",
     "VectorizedCwmKernel",
     "population_to_array",
     "array_to_mappings",

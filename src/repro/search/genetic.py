@@ -25,9 +25,8 @@ The same batch call is also the vectorisation seam: under a CWM objective
 the context stacks each generation's misses into one ``(pop, cores)`` tile
 array and prices it with the NumPy array kernel
 (:class:`~repro.eval.vector.VectorizedCwmKernel`) instead of looping per
-child — bit-identical again, so the gate
-(:attr:`~repro.eval.context.CwmEvaluationContext` ``vectorize``, default on)
-never changes which mapping a seeded run returns.
+child — bit-identical to the scalar loop, so a seeded run returns the same
+mapping whichever way its candidates are priced.
 """
 
 from __future__ import annotations

@@ -21,50 +21,42 @@ through ``evaluate_metrics_batch`` — the same seam every population engine
 uses — so the engine inherits the :class:`~repro.eval.parallel.BatchBackend`
 parallelism: set :attr:`Nsga2Parameters.n_workers` (or pass a backend) to fan
 pricing out over a process pool, with results bit-identical to serial runs
-under the same seed.  Under a CWM source the same seam vectorises too: the
-context converts each generation to a ``(pop, cores)`` tile array and prices
-it with the array kernel of :mod:`repro.eval.vector` — again bit-identical,
-so fronts do not depend on the gate.
+under the same seed.
+
+The generational loop itself is the shared
+:func:`~repro.search.population.evolve`; this module supplies only NSGA-II's
+selection part, :class:`CrowdingSelection`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.mapping import Mapping
 from repro.core.metrics import MetricVector
-from repro.search.base import (
-    PoolOwnerMixin,
-    SearchResult,
-    Searcher,
-    as_objective,
-    objective_metrics,
+from repro.search.base import SearchResult
+from repro.search.population import (
+    PopulationParameters,
+    PopulationSearch,
+    Selection,
+    fast_non_dominated_sort,
 )
-from repro.search.genetic import swap_mutation, uniform_assignment_crossover
-from repro.utils.errors import ConfigurationError
-from repro.utils.rng import RandomSource, ensure_rng
+from repro.utils.rng import RandomSource
 
 
 @dataclass(frozen=True)
-class Nsga2Parameters:
-    """Knobs of :class:`NSGA2Search` (GeneticParameters-style).
+class Nsga2Parameters(PopulationParameters):
+    """Knobs of :class:`NSGA2Search`.
+
+    The shared fields (``population_size`` 32, ``generations`` 40,
+    ``tournament_size`` 2, ``crossover_rate`` 0.9, ``mutation_rate`` 0.3)
+    are documented on
+    :class:`~repro.search.population.PopulationParameters`.
 
     Attributes
     ----------
-    population_size:
-        Individuals per generation (at least 4 — NSGA-II needs room for a
-        ranked front plus diversity).
-    generations:
-        Number of (mu + lambda) generations to evolve.
-    tournament_size:
-        Individuals drawn per crowded tournament (2 is the canonical binary
-        tournament).
-    crossover_rate:
-        Probability a child is produced by crossover rather than cloning.
-    mutation_rate:
-        Probability a child is mutated by one tile swap.
     n_workers:
         Parallel pricing fan-out: ``None`` (or 1) prices generations
         serially; larger values make :class:`NSGA2Search` build a
@@ -73,74 +65,7 @@ class Nsga2Parameters:
         either way.
     """
 
-    population_size: int = 32
-    generations: int = 40
-    tournament_size: int = 2
-    crossover_rate: float = 0.9
-    mutation_rate: float = 0.3
     n_workers: Optional[int] = None
-
-    def __post_init__(self) -> None:
-        if self.population_size < 4:
-            raise ConfigurationError("population_size must be at least 4")
-        if self.generations < 1:
-            raise ConfigurationError("generations must be positive")
-        if not 1 <= self.tournament_size <= self.population_size:
-            raise ConfigurationError(
-                "tournament_size must be between 1 and population_size"
-            )
-        if not 0.0 <= self.crossover_rate <= 1.0:
-            raise ConfigurationError("crossover_rate must be in [0, 1]")
-        if not 0.0 <= self.mutation_rate <= 1.0:
-            raise ConfigurationError("mutation_rate must be in [0, 1]")
-        if self.n_workers is not None and self.n_workers < 1:
-            raise ConfigurationError(
-                f"n_workers must be positive, got {self.n_workers}"
-            )
-
-
-def fast_non_dominated_sort(
-    vectors: Sequence[MetricVector], keys: Sequence[str]
-) -> List[List[int]]:
-    """Deb's fast non-dominated sort: indices grouped into Pareto ranks.
-
-    Parameters
-    ----------
-    vectors:
-        Metric vectors of the population, in population order.
-    keys:
-        Component names the dominance check ranges over (all minimised).
-
-    Returns
-    -------
-    list of list of int
-        ``fronts[0]`` is the non-dominated set, ``fronts[1]`` the set
-        dominated only by rank 0, and so on.  Every index appears exactly
-        once; order within a front is deterministic for a given input order.
-    """
-    keys = tuple(keys)
-    n = len(vectors)
-    dominated: List[List[int]] = [[] for _ in range(n)]
-    counts = [0] * n
-    for p in range(n):
-        for q in range(p + 1, n):
-            if vectors[p].dominates(vectors[q], keys):
-                dominated[p].append(q)
-                counts[q] += 1
-            elif vectors[q].dominates(vectors[p], keys):
-                dominated[q].append(p)
-                counts[p] += 1
-    fronts: List[List[int]] = [[p for p in range(n) if counts[p] == 0]]
-    while fronts[-1]:
-        next_front: List[int] = []
-        for p in fronts[-1]:
-            for q in dominated[p]:
-                counts[q] -= 1
-                if counts[q] == 0:
-                    next_front.append(q)
-        fronts.append(next_front)
-    fronts.pop()  # the loop always appends one trailing empty front
-    return fronts
 
 
 def crowding_distances(
@@ -194,7 +119,38 @@ def crowding_distances(
     return distances
 
 
-class NSGA2Search(PoolOwnerMixin, Searcher):
+class CrowdingSelection(Selection):
+    """NSGA-II selection: crowded tournament and crowding-distance truncation.
+
+    The tournament prefers the lowest rank and breaks ties by the largest
+    crowding distance; the overflowing front keeps its loneliest members.
+    Remaining ties break by index.
+    """
+
+    def tournament_key(
+        self, fronts: List[List[int]], vectors: Sequence[MetricVector]
+    ) -> Callable[[int], Tuple]:
+        ranks = [0] * len(vectors)
+        crowding = [0.0] * len(vectors)
+        for rank, front in enumerate(fronts):
+            distances = crowding_distances(front, vectors, self.keys)
+            for index in front:
+                ranks[index] = rank
+                crowding[index] = distances[index]
+        return lambda index: (ranks[index], -crowding[index], index)
+
+    def truncate(
+        self,
+        accepted: Sequence[int],
+        front: Sequence[int],
+        vectors: Sequence[MetricVector],
+        slots: int,
+    ) -> List[int]:
+        distances = crowding_distances(front, vectors, self.keys)
+        return sorted(front, key=lambda i: (-distances[i], i))[:slots]
+
+
+class NSGA2Search(PopulationSearch):
     """Non-dominated sorting genetic algorithm (NSGA-II) over mappings.
 
     Parameters
@@ -239,61 +195,10 @@ class NSGA2Search(PoolOwnerMixin, Searcher):
     """
 
     name = "nsga2"
+    label = "NSGA-II"
+    parameters_class = Nsga2Parameters
+    selection_class = CrowdingSelection
 
-    def __init__(
-        self,
-        parameters: Nsga2Parameters | None = None,
-        keys: Optional[Sequence[str]] = None,
-        backend=None,
-        n_workers: Optional[int] = None,
-    ) -> None:
-        params = parameters or Nsga2Parameters()
-        if n_workers is not None:
-            params = replace(params, n_workers=n_workers)
-        self.parameters = params
-        if keys is not None and not tuple(keys):
-            raise ConfigurationError(
-                "front keys must name at least one metric (or pass None for "
-                "the default energy/time trade-off)"
-            )
-        self.keys = tuple(keys) if keys is not None else None
-        self._backend = backend
-        self._owned_backend = None
-
-    # ------------------------------------------------------------------
-    def _resolve_keys(self, source) -> Tuple[str, ...]:
-        """The dominance keys for *source* (validated against its components)."""
-        names = tuple(source.metric_names)
-        if self.keys is None:
-            preferred = tuple(key for key in ("energy", "time") if key in names)
-            return preferred if len(preferred) >= 2 else names
-        unknown = [key for key in self.keys if key not in names]
-        if unknown:
-            raise ConfigurationError(
-                f"front keys {unknown!r} are not components of the objective; "
-                f"available metrics are {names}"
-            )
-        return self.keys
-
-    @staticmethod
-    def _scalar_view(objective, source):
-        """``MetricVector -> float`` incumbent scorer for reporting.
-
-        Prefers the objective's (or its context's) weight view — an
-        uncounted dot product over the already-priced vectors, bit-identical
-        to the scalar engines' costs — and falls back to calling the
-        objective when no weights are exposed.
-        """
-        weights = getattr(objective, "weights", None)
-        if not weights:
-            weights = getattr(source, "weights", None)
-        if weights:
-            return lambda mapping, vector: vector.weighted_sum(
-                weights, strict=False
-            )
-        return lambda mapping, vector: objective(mapping)
-
-    # ------------------------------------------------------------------
     def search(
         self,
         objective,
@@ -320,130 +225,13 @@ class NSGA2Search(PoolOwnerMixin, Searcher):
             incumbent under the objective's scalar weight view, and
             ``accepted_moves`` counts applied mutations.
         """
-        from repro.analysis.pareto import ParetoPoint, non_dominated
-        from repro.core.objective import resolve_vector_source
-
-        params = self.parameters
-        scalar = as_objective(objective)
-        source = resolve_vector_source(scalar)
-        keys = self._resolve_keys(source)
-        score = self._scalar_view(scalar, source)
-        generator = ensure_rng(rng)
-        num_tiles = initial.num_tiles
-        if num_tiles is None:
-            raise ConfigurationError(
-                "NSGA-II search requires the initial mapping to know the NoC size"
-            )
-        cores = initial.cores
-        backend = self._resolve_backend(params.n_workers)
-
-        def price(candidates: List[Mapping]) -> List[MetricVector]:
-            return source.evaluate_metrics_batch(candidates, backend=backend)
-
-        population: List[Mapping] = [initial]
-        while len(population) < params.population_size:
-            population.append(Mapping.random(cores, num_tiles, generator))
-        vectors = price(population)
-        evaluations = len(population)
-        mutations = 0
-
-        costs = [score(m, v) for m, v in zip(population, vectors)]
-        best_idx = min(range(len(population)), key=costs.__getitem__)
-        best, best_cost = population[best_idx], costs[best_idx]
-        history: List[Tuple[int, float]] = [(evaluations, best_cost)]
-
-        for _ in range(params.generations):
-            # Rank + crowd the current population once per generation; the
-            # crowded tournament reads both.
-            fronts = fast_non_dominated_sort(vectors, keys)
-            ranks = [0] * len(population)
-            crowding = [0.0] * len(population)
-            for rank, front in enumerate(fronts):
-                distances = crowding_distances(front, vectors, keys)
-                for index in front:
-                    ranks[index] = rank
-                    crowding[index] = distances[index]
-
-            # Generate the whole brood first (one RNG stream, fixed
-            # consumption order), then price it as one batch — the parallel
-            # seam, exactly like GeneticSearch.
-            children: List[Mapping] = []
-            while len(children) < params.population_size:
-                parent_a = self._tournament(population, ranks, crowding, generator)
-                parent_b = self._tournament(population, ranks, crowding, generator)
-                if generator.random() < params.crossover_rate:
-                    child = uniform_assignment_crossover(
-                        parent_a, parent_b, cores, num_tiles, generator
-                    )
-                else:
-                    child = parent_a
-                if generator.random() < params.mutation_rate:
-                    child = swap_mutation(child, num_tiles, generator)
-                    mutations += 1
-                children.append(child)
-            child_vectors = price(children)
-            evaluations += len(children)
-
-            for mapping, vector in zip(children, child_vectors):
-                cost = score(mapping, vector)
-                if cost < best_cost:
-                    best, best_cost = mapping, cost
-                    history.append((evaluations, best_cost))
-
-            # (mu + lambda) environmental selection: refill from the ranked
-            # combined population, truncating the spilling rank by crowding
-            # distance (ties broken by index for determinism).
-            combined = population + children
-            combined_vectors = vectors + child_vectors
-            survivors: List[int] = []
-            for front in fast_non_dominated_sort(combined_vectors, keys):
-                if len(survivors) + len(front) <= params.population_size:
-                    survivors.extend(front)
-                    if len(survivors) == params.population_size:
-                        break
-                    continue
-                distances = crowding_distances(front, combined_vectors, keys)
-                spill = sorted(front, key=lambda i: (-distances[i], i))
-                survivors.extend(spill[: params.population_size - len(survivors)])
-                break
-            population = [combined[i] for i in survivors]
-            vectors = [combined_vectors[i] for i in survivors]
-
-        final_points = [
-            ParetoPoint(mapping=mapping, metrics=vector)
-            for mapping, vector in zip(population, vectors)
-        ]
-        return SearchResult(
-            best_mapping=best,
-            best_cost=best_cost,
-            evaluations=evaluations,
-            history=history,
-            accepted_moves=mutations,
-            best_metrics=objective_metrics(scalar, best),
-            front=non_dominated(final_points, keys),
-        )
-
-    # ------------------------------------------------------------------
-    def _tournament(
-        self,
-        population: List[Mapping],
-        ranks: List[int],
-        crowding: List[float],
-        rng,
-    ) -> Mapping:
-        """Crowded tournament: lowest rank wins, loneliest breaks the tie."""
-        size = self.parameters.tournament_size
-        indices = rng.integers(0, len(population), size=size)
-        winner = min(
-            (int(index) for index in indices),
-            key=lambda index: (ranks[index], -crowding[index], index),
-        )
-        return population[winner]
+        return self._evolve_mappings(objective, initial, rng)
 
 
 __all__ = [
     "Nsga2Parameters",
     "NSGA2Search",
+    "CrowdingSelection",
     "fast_non_dominated_sort",
     "crowding_distances",
 ]

@@ -1,7 +1,7 @@
 """Mapping-as-a-service: persistent pricing across runs and processes.
 
 The evaluation engine (:mod:`repro.eval`) makes pricing fast *within* one
-context; this package makes it persistent *across* them.  Three layers, each
+context; this package makes it persistent *across* them.  Two layers, each
 usable on its own:
 
 * :mod:`repro.service.store` — :class:`~repro.service.store.ResultStore`, an
@@ -9,11 +9,6 @@ usable on its own:
   :class:`~repro.core.metrics.MetricVector`s keyed by the full pricing
   identity (model + platform + workload content hash + mapping digest).  A
   candidate priced once — by any process, in any run — is never priced again.
-* :mod:`repro.service.shm` —
-  :class:`~repro.service.shm.SharedArrayBackend`, a process-pool backend
-  that ships candidate batches to workers as one shared-memory ``(pop,
-  cores)`` index array instead of pickled per-mapping dicts, with automatic
-  fallback to the pickle path for batches the array protocol cannot express.
 * :mod:`repro.service.daemon` / :mod:`repro.service.client` — the resident
   :class:`~repro.service.daemon.MappingDaemon` (warm route tables, warm
   kernels, warm memos, job queue) with an in-process
@@ -35,11 +30,11 @@ from repro.service.client import ServiceBackend, ServiceClient, ServiceServer
 from repro.service.daemon import (
     DEFAULT_MAX_CONTEXTS,
     JOB_MODELS,
+    MAX_COLLECTED_JOBS,
     EvalJob,
     JobResult,
     MappingDaemon,
 )
-from repro.service.shm import SharedArrayBackend, shared_memory_available
 from repro.service.store import (
     STORE_VERSION,
     ResultStore,
@@ -60,13 +55,12 @@ __all__ = [
     "platform_digest",
     "scope_for_context",
     "workload_digest",
-    "SharedArrayBackend",
-    "shared_memory_available",
     "ServiceBackend",
     "ServiceClient",
     "ServiceServer",
     "DEFAULT_MAX_CONTEXTS",
     "JOB_MODELS",
+    "MAX_COLLECTED_JOBS",
     "EvalJob",
     "JobResult",
     "MappingDaemon",

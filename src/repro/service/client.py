@@ -7,7 +7,7 @@ Two ways in, one pricing contract:
   :class:`~repro.service.store.ResultStore` before pricing: candidates whose
   ``(scope, mapping_digest)`` key is already stored are answered from the
   store, only the misses are priced (inline, or through a wrapped inner
-  backend such as :class:`~repro.service.shm.SharedArrayBackend`), and newly
+  backend such as :class:`~repro.eval.parallel.ProcessPoolBackend`), and newly
   priced vectors are written back.  It plugs into the ordinary ``backend=``
   seam of every evaluation context, so any search engine becomes
   store-accelerated without code changes.
@@ -100,7 +100,7 @@ class ServiceBackend(BatchBackend):
         The persistent result store to drain and refill.
     inner:
         Optional backend that prices the misses (e.g. a
-        :class:`~repro.service.shm.SharedArrayBackend`); ``None`` prices
+        :class:`~repro.eval.parallel.ProcessPoolBackend`); ``None`` prices
         inline.
 
     Notes

@@ -3,8 +3,8 @@
 A :class:`MappingDaemon` owns everything that is expensive to build and cheap
 to keep — the persistent :class:`~repro.service.store.ResultStore`, a pool of
 worker processes (via any :class:`~repro.eval.parallel.BatchBackend`, by
-default the shared-memory :class:`~repro.service.shm.SharedArrayBackend`) and
-an LRU of *resident evaluation contexts*, each holding a warm
+default a :class:`~repro.eval.parallel.ProcessPoolBackend`) and an LRU of
+*resident evaluation contexts*, each holding a warm
 :class:`~repro.eval.route_table.RouteTable`, a bound
 :class:`~repro.eval.vector.VectorizedCwmKernel` and a populated memo.  Jobs
 (:class:`EvalJob`: a workload, a platform, a model and a batch of candidate
@@ -30,16 +30,15 @@ import queue
 import tempfile
 import threading
 import time
-from collections import OrderedDict
+from collections import OrderedDict, deque
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Deque, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core.mapping import Mapping
 from repro.core.metrics import MetricVector
-from repro.eval.parallel import BatchBackend
+from repro.eval.parallel import BatchBackend, ProcessPoolBackend
 from repro.noc.platform import Platform
 from repro.service.client import ServiceBackend
-from repro.service.shm import SharedArrayBackend
 from repro.service.store import (
     ResultStore,
     platform_digest,
@@ -52,6 +51,11 @@ JOB_MODELS = ("cwm", "cdcm")
 
 #: How many resident contexts the daemon keeps warm by default.
 DEFAULT_MAX_CONTEXTS = 8
+
+#: How many *collected* job slots (whose result was read through
+#: :meth:`MappingDaemon.result`) the daemon remembers; older collected slots
+#: are forgotten oldest-first.  Uncollected slots are never dropped.
+MAX_COLLECTED_JOBS = 256
 
 
 @dataclass
@@ -146,6 +150,7 @@ class _JobSlot:
     result: Optional[JobResult] = None
     error: Optional[BaseException] = None
     done: threading.Event = field(default_factory=threading.Event)
+    collected: bool = False
 
 
 class MappingDaemon:
@@ -162,7 +167,7 @@ class MappingDaemon:
         Backend that prices store misses.  ``None`` with ``n_workers`` unset
         prices inline (serial reference arithmetic); ``None`` with
         ``n_workers`` set builds an owned
-        :class:`~repro.service.shm.SharedArrayBackend` that is shut down
+        :class:`~repro.eval.parallel.ProcessPoolBackend` that is shut down
         with the daemon.  A caller-supplied backend is borrowed, never
         closed.
     n_workers:
@@ -179,6 +184,11 @@ class MappingDaemon:
     which keeps resident-context access single-threaded and lock-free.  Use
     the daemon as a context manager, or call :meth:`close`, to release the
     thread, the owned pool and the owned store.
+
+    A job's slot (status and result) stays readable until its result has
+    been collected through :meth:`result` and :data:`MAX_COLLECTED_JOBS`
+    later collections have happened; then its id is forgotten, so a daemon
+    running for days holds only its uncollected jobs plus a bounded tail.
     """
 
     def __init__(
@@ -201,13 +211,14 @@ class MappingDaemon:
         self.store = store
         self._owned_backend: Optional[BatchBackend] = None
         if backend is None and n_workers is not None:
-            backend = SharedArrayBackend(n_workers=n_workers)
+            backend = ProcessPoolBackend(n_workers=n_workers)
             self._owned_backend = backend
         self.backend = backend
         self.service = ServiceBackend(store, inner=backend)
         self.max_contexts = max_contexts
         self._contexts: "OrderedDict[Tuple[str, str, str], Any]" = OrderedDict()
         self._slots: Dict[str, _JobSlot] = {}
+        self._collected: Deque[str] = deque()
         self._queue: "queue.Queue[Optional[str]]" = queue.Queue()
         self._ids = itertools.count(1)
         self._lock = threading.Lock()
@@ -243,13 +254,20 @@ class MappingDaemon:
         """Block until *job_id* completes and return its :class:`JobResult`.
 
         Re-raises the job's exception if it failed; raises
-        :class:`~repro.utils.errors.ConfigurationError` on timeout.
+        :class:`~repro.utils.errors.ConfigurationError` on timeout.  A
+        completed call marks the slot collected (see the class notes).
         """
         slot = self._slot(job_id)
         if not slot.done.wait(timeout):
             raise ConfigurationError(
                 f"job {job_id} did not complete within {timeout}s"
             )
+        with self._lock:
+            if not slot.collected:
+                slot.collected = True
+                self._collected.append(job_id)
+                while len(self._collected) > MAX_COLLECTED_JOBS:
+                    del self._slots[self._collected.popleft()]
         if slot.error is not None:
             raise slot.error
         assert slot.result is not None  # done + no error implies a result
@@ -260,9 +278,9 @@ class MappingDaemon:
         return self.result(self.submit(job))
 
     def stats(self) -> Dict[str, Any]:
-        """Live daemon statistics: jobs, store counters, transport counters."""
+        """Live daemon statistics: jobs, contexts, store counters."""
         store_stats = self.store.stats
-        payload: Dict[str, Any] = {
+        return {
             "jobs_done": self._jobs_done,
             "jobs_queued": self._queue.qsize(),
             "resident_contexts": len(self._contexts),
@@ -277,12 +295,6 @@ class MappingDaemon:
                 "corrupt_skipped": store_stats.corrupt_skipped,
             },
         }
-        if isinstance(self.backend, SharedArrayBackend):
-            payload["transport"] = {
-                "shm_batches": self.backend.shm_batches,
-                "pickle_batches": self.backend.pickle_batches,
-            }
-        return payload
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -414,6 +426,7 @@ class MappingDaemon:
 
 __all__ = [
     "DEFAULT_MAX_CONTEXTS",
+    "MAX_COLLECTED_JOBS",
     "JOB_MODELS",
     "EvalJob",
     "JobResult",

@@ -1,4 +1,4 @@
-"""The mapping service (repro.service): store, daemon, shm transport, client.
+"""The mapping service (repro.service): store, daemon, client.
 
 Four contracts are pinned here:
 
@@ -23,6 +23,7 @@ from __future__ import annotations
 import json
 import multiprocessing
 import os
+import sys
 import threading
 import warnings
 
@@ -32,25 +33,24 @@ from repro.analysis.comparison import ComparisonConfig, compare_models
 from repro.core.mapping import Mapping
 from repro.core.metrics import MetricVector
 from repro.eval.context import CdcmEvaluationContext, CwmEvaluationContext
-from repro.eval.parallel import SerialBackend
+from repro.eval.parallel import ProcessPoolBackend, SerialBackend
 from repro.graphs.cdcg import CDCG
 from repro.graphs.convert import cdcg_to_cwg
 from repro.graphs.cwg import CWG, cwg_from_edges
 from repro.noc.platform import Platform
 from repro.noc.topology import IrregularTopology, Mesh, Torus
 from repro.service import (
+    MAX_COLLECTED_JOBS,
     STORE_VERSION,
     EvalJob,
     JobResult,
     MappingDaemon,
     ResultStore,
     ServiceBackend,
-    SharedArrayBackend,
     StoreCorruptionWarning,
     mapping_digest,
     platform_digest,
     scope_for_context,
-    shared_memory_available,
     workload_digest,
 )
 from repro.service.client import ServiceClient, ServiceServer
@@ -447,114 +447,12 @@ class TestServiceBackend:
         reference = SerialBackend().evaluate_metrics(
             CdcmEvaluationContext(cdcg, platform, cache_size=0), mappings
         )
-        with SharedArrayBackend(n_workers=N_WORKERS, min_batch_size=2) as inner:
+        with ProcessPoolBackend(n_workers=N_WORKERS, min_batch_size=2) as inner:
             service = ServiceBackend(ResultStore(tmp_path), inner=inner)
             got = service.evaluate_metrics(
                 CdcmEvaluationContext(cdcg, platform, cache_size=0), mappings
             )
         assert got == reference
-
-
-# ---------------------------------------------------------------------------
-# Tentpole: shared-memory transport
-# ---------------------------------------------------------------------------
-class TestSharedArrayBackend:
-    @pytest.fixture(scope="class")
-    def pool(self):
-        backend = SharedArrayBackend(n_workers=N_WORKERS, min_batch_size=2)
-        yield backend
-        backend.close()
-
-    def test_shm_identical_to_serial(self, pool, workload):
-        cdcg, _, platform = workload
-        mappings = _random_mappings(cdcg.cores(), platform.num_tiles, 16)
-        serial = SerialBackend().evaluate_metrics(
-            CdcmEvaluationContext(cdcg, platform, cache_size=0), mappings
-        )
-        before = pool.shm_batches
-        got = pool.evaluate_metrics(
-            CdcmEvaluationContext(cdcg, platform, cache_size=0), mappings
-        )
-        assert got == serial
-        if shared_memory_available():
-            assert pool.shm_batches == before + 1
-
-    def test_cwm_shm_identical_to_serial(self, pool, workload):
-        _, cwg, platform = workload
-        mappings = _random_mappings(cwg.cores, platform.num_tiles, 16)
-        serial = SerialBackend().evaluate_metrics(
-            CwmEvaluationContext(cwg, platform, cache_size=0), mappings
-        )
-        got = pool.evaluate_metrics(
-            CwmEvaluationContext(cwg, platform, cache_size=0), mappings
-        )
-        assert got == serial
-
-    def test_dict_candidates_fall_back_to_pickle(self, pool, workload):
-        cdcg, _, platform = workload
-        mappings = _random_mappings(cdcg.cores(), platform.num_tiles, 8)
-        dicts = [m.assignments() for m in mappings]
-        serial = SerialBackend().evaluate_metrics(
-            CdcmEvaluationContext(cdcg, platform, cache_size=0), dicts
-        )
-        before = pool.pickle_batches
-        got = pool.evaluate_metrics(
-            CdcmEvaluationContext(cdcg, platform, cache_size=0), dicts
-        )
-        assert got == serial
-        assert pool.pickle_batches == before + 1
-
-    def test_mixed_core_sets_fall_back_to_pickle(self, pool, workload):
-        _, cwg, platform = workload
-        mappings = _random_mappings(cwg.cores, platform.num_tiles, 7)
-        # One candidate places an extra (isolated, unknown-to-the-kernel)
-        # subset of cores — same length, different core set.
-        kept = dict(list(mappings[0])[:-1])
-        free = next(
-            t for t in range(platform.num_tiles) if t not in kept.values()
-        )
-        odd = Mapping(kept | {"ghost": free}, num_tiles=platform.num_tiles)
-        batch = mappings + [odd]
-        before = pool.pickle_batches
-        with pytest.raises(Exception):
-            # ghost is not a core of the CWG: the fallback still prices via
-            # pickle (counted), then the context rejects the bad candidate
-            # exactly as the serial path would.
-            pool.evaluate_metrics(
-                CwmEvaluationContext(cwg, platform, cache_size=0), batch
-            )
-        assert pool.pickle_batches == before + 1
-
-    def test_forced_pickle_transport(self, workload):
-        cdcg, _, platform = workload
-        mappings = _random_mappings(cdcg.cores(), platform.num_tiles, 8)
-        with SharedArrayBackend(
-            n_workers=N_WORKERS, min_batch_size=2, transport="pickle"
-        ) as pool:
-            serial = SerialBackend().evaluate_metrics(
-                CdcmEvaluationContext(cdcg, platform, cache_size=0), mappings
-            )
-            got = pool.evaluate_metrics(
-                CdcmEvaluationContext(cdcg, platform, cache_size=0), mappings
-            )
-            assert got == serial
-            assert pool.shm_batches == 0 and pool.pickle_batches == 1
-
-    def test_small_batches_price_inline(self, pool, workload):
-        cdcg, _, platform = workload
-        mappings = _random_mappings(cdcg.cores(), platform.num_tiles, 1)
-        before = (pool.shm_batches, pool.pickle_batches)
-        got = pool.evaluate_metrics(
-            CdcmEvaluationContext(cdcg, platform, cache_size=0), mappings
-        )
-        assert (pool.shm_batches, pool.pickle_batches) == before
-        assert got == SerialBackend().evaluate_metrics(
-            CdcmEvaluationContext(cdcg, platform, cache_size=0), mappings
-        )
-
-    def test_rejects_unknown_transport(self):
-        with pytest.raises(ConfigurationError):
-            SharedArrayBackend(transport="carrier-pigeon")
 
 
 # ---------------------------------------------------------------------------
@@ -664,6 +562,66 @@ class TestMappingDaemon:
                                mappings=mappings, model="cwm"))
             assert daemon.stats()["resident_contexts"] == 1
 
+    def test_collected_slots_stay_bounded(self, workload):
+        _, cwg, platform = workload
+        job = EvalJob(
+            application=cwg,
+            platform=platform,
+            mappings=_random_mappings(cwg.cores, platform.num_tiles, 1),
+            model="cwm",
+        )
+        with MappingDaemon() as daemon:
+            uncollected = daemon.submit(job)
+            first = daemon.run(job).job_id
+            for _ in range(3 * MAX_COLLECTED_JOBS):
+                result = daemon.run(job)
+                assert daemon.poll(result.job_id) == "done"
+                assert len(daemon._slots) <= MAX_COLLECTED_JOBS + 1
+            with pytest.raises(ConfigurationError, match="unknown job id"):
+                daemon.poll(first)
+            with pytest.raises(ConfigurationError, match="unknown job id"):
+                daemon.result(first)
+            # A slot whose result was never read is never dropped.
+            assert daemon.poll(uncollected) == "done"
+            assert daemon.result(uncollected).job_id == uncollected
+
+    def test_concurrent_collectors_keep_slots_bounded(self, workload):
+        _, cwg, platform = workload
+        job = EvalJob(
+            application=cwg,
+            platform=platform,
+            mappings=_random_mappings(cwg.cores, platform.num_tiles, 1),
+            model="cwm",
+        )
+        failures = []
+
+        def collect(daemon):
+            try:
+                for _ in range(MAX_COLLECTED_JOBS // 4):
+                    assert len(daemon.run(job).vectors) == 1
+            except BaseException as exc:  # surfaced by the assert below
+                failures.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with MappingDaemon() as daemon:
+                # Eight collectors (more threads than a small runner has
+                # cores) racing on the eviction of each other's slots.
+                threads = [
+                    threading.Thread(target=collect, args=(daemon,))
+                    for _ in range(8)
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=120)
+                assert not any(thread.is_alive() for thread in threads)
+                assert len(daemon._slots) == MAX_COLLECTED_JOBS
+        finally:
+            sys.setswitchinterval(interval)
+        assert not failures, failures
+
 
 # ---------------------------------------------------------------------------
 # Satellite (b): worker-pool lifecycle — nothing leaks after shutdown
@@ -674,6 +632,7 @@ class TestLifecycle:
         mappings = _random_mappings(cdcg.cores(), platform.num_tiles, 12)
         baseline = {p.pid for p in multiprocessing.active_children()}
         daemon = MappingDaemon(n_workers=N_WORKERS)
+        assert type(daemon.backend) is ProcessPoolBackend
         # Force the owned pool to actually spin up workers.
         daemon.backend.min_batch_size = 2
         daemon.run(EvalJob(application=cdcg, platform=platform, mappings=mappings))
@@ -689,7 +648,7 @@ class TestLifecycle:
     def test_backend_context_manager_shuts_pool_down(self, workload):
         cdcg, _, platform = workload
         baseline = {p.pid for p in multiprocessing.active_children()}
-        with SharedArrayBackend(n_workers=N_WORKERS, min_batch_size=2) as pool:
+        with ProcessPoolBackend(n_workers=N_WORKERS, min_batch_size=2) as pool:
             pool.evaluate_metrics(
                 CdcmEvaluationContext(cdcg, platform, cache_size=0),
                 _random_mappings(cdcg.cores(), platform.num_tiles, 8),
@@ -706,7 +665,7 @@ class TestLifecycle:
 
     def test_daemon_borrowed_backend_not_closed(self, workload):
         cdcg, _, platform = workload
-        with SharedArrayBackend(n_workers=N_WORKERS, min_batch_size=2) as pool:
+        with ProcessPoolBackend(n_workers=N_WORKERS, min_batch_size=2) as pool:
             with MappingDaemon(backend=pool) as daemon:
                 daemon.run(
                     EvalJob(

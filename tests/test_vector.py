@@ -1,12 +1,11 @@
 """The array pricing kernel (repro.eval.vector) and its wiring.
 
 The contract under test is **bit-identity**: the vectorised batch path must
-return the exact floats the scalar accumulator returns — same gathers, same
+return the exact floats the per-candidate scalar accumulator
+(``CwmEvaluationContext._compute_metrics``) returns — same gathers, same
 left-to-right edge-order reduction — across topologies, table modes (eager
 and lazy), duplicate candidates and empty populations.  This mirrors how the
-serial==pooled contract is pinned in ``tests/test_parallel.py``, including a
-regression that the paper-reproduction pipeline (``ComparisonConfig``) never
-engages the kernel.
+serial==pooled contract is pinned in ``tests/test_parallel.py``.
 """
 
 from __future__ import annotations
@@ -14,7 +13,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.analysis.comparison import ComparisonConfig, compare_models
 from repro.core.mapping import Mapping
 from repro.core.objective import cwm_objective
 from repro.eval.context import CwmEvaluationContext
@@ -216,14 +214,9 @@ class TestVectorScalarBitIdentity:
             rng = np.random.default_rng(seed)
             cwg = _random_cwg(rng, 6)
             table = RouteTable.for_platform(platform, precompute=precompute)
-            scalar = CwmEvaluationContext(
-                cwg, platform, route_table=table, vectorize=False
-            )
-            vector = CwmEvaluationContext(
-                cwg, platform, route_table=table, vectorize=True
-            )
+            vector = CwmEvaluationContext(cwg, platform, route_table=table)
             population = _population(cwg, platform.num_tiles, 100 + seed, 24)
-            expected = scalar.evaluate_metrics_batch(population)
+            expected = [vector._compute_metrics(m) for m in population]
             got = vector.evaluate_metrics_batch(population)
             assert got == expected  # bit-identical MetricVectors
 
@@ -233,11 +226,10 @@ class TestVectorScalarBitIdentity:
         cwg = _random_cwg(rng, 5)
         base = _population(cwg, 9, 17, 6)
         population = base + [base[0], base[3]] + [base[1].assignments()]
-        scalar = CwmEvaluationContext(cwg, platform, vectorize=False)
-        vector = CwmEvaluationContext(cwg, platform, vectorize=True)
-        assert vector.evaluate_metrics_batch(
-            population
-        ) == scalar.evaluate_metrics_batch(population)
+        vector = CwmEvaluationContext(cwg, platform)
+        assert vector.evaluate_metrics_batch(population) == [
+            vector._compute_metrics(m) for m in population
+        ]
         # Duplicates collapse to one kernel row each (same-batch duplicates
         # share the unique slot without counting as memo hits, exactly like
         # the pooled dedup path) and unique Mappings fill the memo.
@@ -250,15 +242,15 @@ class TestVectorScalarBitIdentity:
     def test_empty_population(self):
         platform = Platform(mesh=Mesh(2, 2))
         cwg = _random_cwg(np.random.default_rng(1), 3)
-        vector = CwmEvaluationContext(cwg, platform, vectorize=True)
+        vector = CwmEvaluationContext(cwg, platform)
         assert vector.evaluate_metrics_batch([]) == []
         assert vector.evaluate_batch([]) == []
 
     def test_vector_batch_matches_per_candidate_cost(self):
         platform = Platform(mesh=Torus(3, 3))
         cwg = _random_cwg(np.random.default_rng(9), 7)
-        vector = CwmEvaluationContext(cwg, platform, vectorize=True)
-        reference = CwmEvaluationContext(cwg, platform, vectorize=False)
+        vector = CwmEvaluationContext(cwg, platform)
+        reference = CwmEvaluationContext(cwg, platform, cache_size=0)
         population = _population(cwg, 9, 23, 16)
         costs = vector.evaluate_batch(population)
         assert costs == [reference.cost(m) for m in population]
@@ -266,46 +258,47 @@ class TestVectorScalarBitIdentity:
     def test_unplaced_edge_core_raises_like_scalar(self):
         platform = Platform(mesh=Mesh(2, 2))
         cwg = cwg_from_edges("pair", [("a", "b", 100)])
-        vector = CwmEvaluationContext(cwg, platform, vectorize=True)
+        vector = CwmEvaluationContext(cwg, platform)
         with pytest.raises(MappingError, match="does not place core"):
             vector.evaluate_metrics_batch([{"a": 0}])
+        with pytest.raises(MappingError, match="does not place core"):
+            vector._compute_metrics({"a": 0})
 
     def test_isolated_core_may_stay_unplaced(self):
         platform = Platform(mesh=Mesh(2, 2))
         cwg = cwg_from_edges("iso", [("a", "b", 100)], cores=["a", "b", "z"])
-        scalar = CwmEvaluationContext(cwg, platform, vectorize=False)
-        vector = CwmEvaluationContext(cwg, platform, vectorize=True)
+        vector = CwmEvaluationContext(cwg, platform)
         candidate = {"a": 0, "b": 3}  # "z" unplaced — never gathered
-        assert vector.evaluate_metrics_batch(
-            [candidate]
-        ) == scalar.evaluate_metrics_batch([candidate])
+        assert vector.evaluate_metrics_batch([candidate]) == [
+            vector._compute_metrics(candidate)
+        ]
 
     def test_serial_and_pooled_vector_paths_agree(self):
         platform = Platform(mesh=Mesh(3, 3))
         cwg = _random_cwg(np.random.default_rng(21), 8)
         population = _population(cwg, 9, 31, 24)
-        vector = CwmEvaluationContext(cwg, platform, vectorize=True)
+        vector = CwmEvaluationContext(cwg, platform)
         expected = vector.evaluate_metrics_batch(
             population, backend=SerialBackend()
         )
         with ProcessPoolBackend(n_workers=2, min_batch_size=2) as pool:
-            fresh = CwmEvaluationContext(cwg, platform, vectorize=True)
+            fresh = CwmEvaluationContext(cwg, platform)
             assert fresh.evaluate_metrics_batch(population, backend=pool) == expected
 
     def test_seeded_ga_identical_across_gate(self):
+        """Kernel batch pricing vs per-candidate scalar pricing: same walk."""
         platform = Platform(mesh=Mesh(3, 3))
         cwg = _random_cwg(np.random.default_rng(5), 7)
         params = GeneticParameters(population_size=10, generations=4)
         initial = Mapping.random(sorted(cwg.cores), 9, rng=1)
-        results = []
-        for vectorize in (False, True):
-            objective = cwm_objective(
-                cwg,
-                platform,
-                context=CwmEvaluationContext(cwg, platform, vectorize=vectorize),
-            )
-            results.append(GeneticSearch(params).search(objective, initial, rng=42))
-        off, on = results
+        batched = cwm_objective(
+            cwg, platform, context=CwmEvaluationContext(cwg, platform)
+        )
+        # A plain callable has no batch capability: the GA prices it one
+        # candidate at a time through the scalar accumulator.
+        reference = CwmEvaluationContext(cwg, platform, cache_size=0)
+        on = GeneticSearch(params).search(batched, initial, rng=42)
+        off = GeneticSearch(params).search(reference.cost, initial, rng=42)
         assert on.best_cost == off.best_cost
         assert on.best_mapping == off.best_mapping
         assert on.history == off.history
@@ -321,7 +314,7 @@ class TestKernel:
         population = _population(cwg, 9, 13, 10)
         tiles = population_to_array(population, kernel.core_order)
         priced = kernel.price(tiles)
-        scalar = CwmEvaluationContext(cwg, platform, vectorize=False)
+        scalar = CwmEvaluationContext(cwg, platform)
         assert priced.tolist() == [
             scalar.metrics(m)["dynamic_energy"] for m in population
         ]
@@ -391,37 +384,3 @@ class TestKernel:
             cwg, RouteTable.for_platform(platform)
         )
         assert kernel.price(np.array([[0, 1], [2, 3]])).tolist() == [0.0, 0.0]
-
-
-class TestComparisonNeverVectorises:
-    def test_comparison_config_paths_stay_scalar(
-        self, monkeypatch, example_cdcg, example_platform
-    ):
-        """The Table 1/2 reproduction pipeline must never engage the kernel.
-
-        ``ComparisonConfig`` pins ``vectorize=False`` for the same
-        bit-stable-rows rationale as ``use_delta``; poisoning the kernel
-        proves no comparison code path constructs or prices through one
-        (mirrors ``TestComparisonNeverPools``).
-        """
-
-        def forbidden(*args, **kwargs):  # pragma: no cover - failure path
-            raise AssertionError("ComparisonConfig engaged VectorizedCwmKernel")
-
-        monkeypatch.setattr(VectorizedCwmKernel, "__init__", forbidden)
-        monkeypatch.setattr(VectorizedCwmKernel, "price", forbidden)
-        config = ComparisonConfig(method="exhaustive")
-        comparison = compare_models(example_cdcg, example_platform, config, seed=3)
-        assert comparison.cwm_outcome.cost > 0
-
-    def test_comparison_config_defaults_pin_gate_off(self):
-        assert ComparisonConfig().vectorize is False
-        assert ComparisonConfig().use_delta is False
-
-    def test_context_gate_defaults_on(self, example_cdcg, example_platform):
-        from repro.graphs.convert import cdcg_to_cwg
-
-        context = CwmEvaluationContext(
-            cdcg_to_cwg(example_cdcg), example_platform
-        )
-        assert context.vectorize is True

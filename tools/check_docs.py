@@ -278,8 +278,8 @@ def check_service_sections() -> list:
 
     ``repro.service`` modules are swept by the docstring check; this check
     pins the prose half: ``docs/service.md`` must keep a section per
-    contract (store key, daemon lifecycle, shared-memory transport,
-    bit-identity, the ComparisonConfig pin), the architecture guide must
+    contract (store key, daemon lifecycle, bit-identity, the
+    ComparisonConfig pin), the architecture guide must
     cover the service data flow, and the API guide must document the
     ``backend`` knob of ``ComparisonConfig`` and every ``EvalJob`` field,
     so a new knob cannot land undocumented.
@@ -297,7 +297,6 @@ def check_service_sections() -> list:
     required = {
         "store": "the result-store key anatomy",
         "daemon": "the daemon lifecycle",
-        "shared-memory": "the shared-memory transport",
         "bit-identity": "the bit-identity contract",
         "comparisonconfig": "the reproduction pin",
     }
@@ -306,8 +305,8 @@ def check_service_sections() -> list:
             problems.append(
                 f"docs/service.md: no section heading names {needle!r} ({what})"
             )
-    for symbol in ("ResultStore", "MappingDaemon", "SharedArrayBackend",
-                   "ServiceBackend", "tools/serve.py"):
+    for symbol in ("ResultStore", "MappingDaemon", "ServiceBackend",
+                   "tools/serve.py"):
         if symbol not in text:
             problems.append(f"docs/service.md: {symbol} is never mentioned")
     architecture = REPO_ROOT / "docs" / "architecture.md"

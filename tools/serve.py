@@ -25,7 +25,7 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
-from repro.service import MappingDaemon, ResultStore, SharedArrayBackend  # noqa: E402
+from repro.service import MappingDaemon, ResultStore  # noqa: E402
 from repro.service.client import ServiceServer  # noqa: E402
 
 
@@ -57,12 +57,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument(
-        "--transport",
-        choices=SharedArrayBackend.TRANSPORTS,
-        default="auto",
-        help="Batch transport of the worker pool (default: %(default)s).",
-    )
-    parser.add_argument(
         "--byte-budget",
         type=int,
         default=None,
@@ -83,13 +77,8 @@ def main(argv=None) -> int:
     store = None
     if args.store is not None:
         store = ResultStore(args.store, byte_budget=args.byte_budget)
-    backend = None
-    if args.workers is not None:
-        backend = SharedArrayBackend(
-            n_workers=args.workers, transport=args.transport
-        )
     daemon = MappingDaemon(
-        store=store, backend=backend, max_contexts=args.max_contexts
+        store=store, n_workers=args.workers, max_contexts=args.max_contexts
     )
     server = ServiceServer(daemon, args.socket)
     print(f"mapping service listening on {args.socket}")
@@ -103,8 +92,6 @@ def main(argv=None) -> int:
     finally:
         server.stop()
         daemon.close()
-        if backend is not None:
-            backend.close()
     return 0
 
 
