@@ -1,8 +1,10 @@
 """Microbenchmarks of the CDCM scheduler (the cost driver of every CDCM search).
 
-Measures how one schedule replay scales with the number of packets and with
-the NoC size — the quantities behind the paper's NDP-proportional complexity
-claim — plus the raw throughput on the embedded applications.
+Measures how one replay scales with the number of packets and with the NoC
+size — the quantities behind the paper's NDP-proportional complexity claim —
+plus the raw throughput on the embedded applications.  Every case runs both
+replays side by side: ``schedule`` (the full trace, for reports and figures)
+and ``price`` (the trace-free pricing replay every search prices through).
 
 Schedulers price packet paths off the shared
 :class:`~repro.eval.route_table.RouteTable`; the table is built (and cached)
@@ -35,34 +37,41 @@ def _benchmark_case(num_cores: int, num_packets: int, mesh: Mesh, seed: int = 1)
     return scheduler, cdcg, mapping
 
 
+#: The two replays every case measures.
+REPLAYS = ["schedule", "price"]
+
+
 @pytest.mark.benchmark(group="scheduler-packets")
+@pytest.mark.parametrize("replay", REPLAYS)
 @pytest.mark.parametrize("num_packets", [25, 100, 400])
-def test_scheduler_scales_with_packets(benchmark, num_packets):
+def test_scheduler_scales_with_packets(benchmark, num_packets, replay):
     scheduler, cdcg, mapping = _benchmark_case(
         num_cores=12, num_packets=num_packets, mesh=Mesh(4, 4)
     )
-    result = benchmark(scheduler.schedule, cdcg, mapping)
+    result = benchmark(getattr(scheduler, replay), cdcg, mapping)
     assert result.execution_time > 0
-    assert len(result.packet_schedules) == num_packets
+    assert result.execution_time == scheduler.schedule(cdcg, mapping).execution_time
 
 
 @pytest.mark.benchmark(group="scheduler-mesh")
+@pytest.mark.parametrize("replay", REPLAYS)
 @pytest.mark.parametrize("width,height", [(3, 3), (6, 6), (10, 10)])
-def test_scheduler_scales_with_mesh(benchmark, width, height):
+def test_scheduler_scales_with_mesh(benchmark, width, height, replay):
     mesh = Mesh(width, height)
     scheduler, cdcg, mapping = _benchmark_case(
         num_cores=min(20, mesh.num_tiles), num_packets=150, mesh=mesh
     )
-    result = benchmark(scheduler.schedule, cdcg, mapping)
+    result = benchmark(getattr(scheduler, replay), cdcg, mapping)
     assert result.execution_time > 0
 
 
 @pytest.mark.benchmark(group="scheduler-embedded")
+@pytest.mark.parametrize("replay", REPLAYS)
 @pytest.mark.parametrize("app_name", ["fft8", "object-recognition", "image-encoder"])
-def test_scheduler_on_embedded_applications(benchmark, app_name):
+def test_scheduler_on_embedded_applications(benchmark, app_name, replay):
     cdcg = embedded_applications()[app_name]
     platform = Platform(mesh=Mesh(3, 3))
     mapping = Mapping.random(cdcg.cores(), platform.num_tiles, rng=2)
     scheduler = CdcmScheduler(platform)
-    result = benchmark(scheduler.schedule, cdcg, mapping)
+    result = benchmark(getattr(scheduler, replay), cdcg, mapping)
     assert result.execution_time >= cdcg.critical_path_time()

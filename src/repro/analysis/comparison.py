@@ -65,16 +65,6 @@ class ComparisonConfig:
         accept and change a published row).  The comparison still gains the
         route-table pricing speedup either way; set True for production-scale
         sweeps where raw throughput matters more than bit-stable tables.
-    repair:
-        Let CDCM swap deltas be priced by the bounded-repair engine
-        (:mod:`repro.eval.repair`).  Defaults to False here — and only here —
-        for a *stronger* version of the ``use_delta`` rationale: bounded
-        repair is exact only at resync points and drift-bounded in between,
-        so it could steer a borderline annealing accept differently from the
-        published full-replay walk.  The reproduced Table 1/2 rows therefore
-        always price by complete replays; set True for production-scale
-        sweeps where raw CDCM throughput matters more than bit-stable
-        tables.
     backend:
         Optional :class:`~repro.eval.parallel.BatchBackend` forwarded to the
         framework's evaluation contexts — in particular the store-draining
@@ -86,9 +76,8 @@ class ComparisonConfig:
         run.  The service is bit-identical to serial pricing by contract
         (and pinned so by ``tests/test_service.py``), but the reproduced
         rows deliberately exercise the seed pricing path, mirroring the
-        ``use_delta`` / ``repair`` conventions.  Pass a
-        backend for production-scale sweeps; the comparison borrows it and
-        never closes it.
+        ``use_delta`` convention.  Pass a backend for production-scale
+        sweeps; the comparison borrows it and never closes it.
     """
 
     method: str = "annealing"
@@ -96,7 +85,6 @@ class ComparisonConfig:
     annealing_schedule: Optional[AnnealingSchedule] = None
     restarts: int = 1
     use_delta: bool = False
-    repair: bool = False
     backend: Optional["BatchBackend"] = None
 
     def __post_init__(self) -> None:
@@ -204,12 +192,7 @@ def compare_models(
     point.
     """
     config = config or ComparisonConfig()
-    framework = FRWFramework(
-        cdcg,
-        platform,
-        repair=config.repair,
-        backend=config.backend,
-    )
+    framework = FRWFramework(cdcg, platform, backend=config.backend)
     base_rng = ensure_rng(seed)
 
     cwm_best: Optional[MappingOutcome] = None

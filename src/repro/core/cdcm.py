@@ -25,6 +25,8 @@ from repro.core.metrics import (
     MetricVector,
     scalarisation_weights,
 )
+from repro.energy.dynamic import traffic_dynamic_energy
+from repro.energy.static import noc_static_energy
 from repro.energy.technology import Technology
 from repro.energy.totals import EnergyBreakdown, total_energy_cdcm
 from repro.graphs.cdcg import CDCG
@@ -168,8 +170,31 @@ class CdcmEvaluator:
     def metrics(
         self, cdcg: CDCG, mapping: Union[Mapping, Dict[str, int]]
     ) -> MetricVector:
-        """Named component vector of a mapping (one replay, every metric)."""
-        return self.evaluate(cdcg, mapping).metric_vector()
+        """Named component vector of a mapping (one replay, every metric).
+
+        Priced by the trace-free replay
+        (:meth:`~repro.noc.scheduler.CdcmScheduler.price`) and bit-identical
+        to ``evaluate(cdcg, mapping).metric_vector()``, which builds the full
+        schedule first.
+        """
+        priced = self._scheduler.price(cdcg, mapping)
+        technology = self.platform.technology
+        dynamic = traffic_dynamic_energy(
+            priced.traffic, technology, self.include_local
+        )
+        static = noc_static_energy(
+            technology, self.platform.num_tiles, priced.execution_time
+        )
+        return MetricVector(
+            CDCM_METRIC_NAMES,
+            (
+                dynamic + static,
+                priced.execution_time,
+                dynamic,
+                static,
+                priced.max_link_utilisation,
+            ),
+        )
 
     # ------------------------------------------------------------------
     # Full report

@@ -34,7 +34,6 @@ from repro.core.objective import (
 )
 from repro.energy.technology import Technology
 from repro.eval.context import CdcmEvaluationContext, CwmEvaluationContext
-from repro.eval.repair import RepairPolicy
 from repro.eval.route_table import get_route_table
 from repro.graphs.cdcg import CDCG
 from repro.graphs.convert import cdcg_to_cwg
@@ -102,15 +101,6 @@ class FRWFramework:
         Optional explicit CWG.  Must be consistent with the CDCG; supplying it
         is only useful when the application was natively captured as a CWG and
         the CDCG was produced later by hand, as the paper describes.
-    repair:
-        Forwarded to every :class:`CdcmEvaluationContext` the framework
-        builds: whether CDCM swap deltas are priced by the bounded-repair
-        engine of :mod:`repro.eval.repair`.  ``None`` (default) follows the
-        context's default — on; the comparison driver pins it off for the
-        reproduced paper rows.
-    repair_policy:
-        Optional :class:`~repro.eval.repair.RepairPolicy` forwarded with
-        the ``repair`` gate (resync period, drift bound, closure depth).
     backend:
         Optional :class:`~repro.eval.parallel.BatchBackend` forwarded to
         every evaluation context the framework builds (the shared contexts
@@ -128,8 +118,6 @@ class FRWFramework:
         cdcg: CDCG,
         platform: Platform,
         cwg: Optional[CWG] = None,
-        repair: Optional[bool] = None,
-        repair_policy: Optional[RepairPolicy] = None,
         backend: Optional["BatchBackend"] = None,
     ) -> None:
         cdcg.validate()
@@ -145,8 +133,6 @@ class FRWFramework:
         # objective handed to a search engine, and every evaluate() call,
         # prices mappings against the same precomputed tables and memo.
         self.route_table = get_route_table(platform)
-        self._repair = repair
-        self._repair_policy = repair_policy
         self._backend = backend
         self._cwm_context = CwmEvaluationContext(
             self.cwg,
@@ -158,8 +144,6 @@ class FRWFramework:
             self.cdcg,
             platform,
             route_table=self.route_table,
-            repair=repair,
-            repair_policy=repair_policy,
             backend=backend,
         )
         self._cdcm_evaluator = self._cdcm_context.evaluator
@@ -215,8 +199,6 @@ class FRWFramework:
                 self.cdcg,
                 self.platform,
                 route_table=self.route_table,
-                repair=self._repair,
-                repair_policy=self._repair_policy,
                 backend=self._backend,
             )
             if weights is not None:

@@ -537,8 +537,6 @@ def cdcm_objective(
     include_local: bool = True,
     cache_size: int = DEFAULT_CACHE_SIZE,
     context: Optional[CdcmEvaluationContext] = None,
-    repair: Optional[bool] = None,
-    repair_policy=None,
 ) -> CountingObjective:
     """Objective minimising CDCM total energy (equation 10) or execution time.
 
@@ -567,22 +565,12 @@ def cdcm_objective(
         Size of the context's metric-vector memo (0 disables it).
     context:
         Optional pre-built context to share across objectives.
-    repair:
-        Whether swap deltas are priced by the bounded-repair engine of
-        :mod:`repro.eval.repair` (``None`` follows the context default —
-        on).  Ignored when *context* is supplied.
-    repair_policy:
-        Optional :class:`~repro.eval.repair.RepairPolicy` overriding the
-        resync/drift contract.  Ignored when *context* is supplied.
-
     Returns
     -------
     CountingObjective
-        Supports bulk pricing (``supports_batch``) and — behind the
-        ``repair`` gate — incremental swap deltas (``supports_delta``):
-        contention makes exact CDCM deltas global, so moves are priced by
-        the bounded-repair engine, exact at every resync point and
-        drift-bounded in between (see :mod:`repro.eval.repair`).
+        Supports bulk pricing (``supports_batch``) but no swap delta:
+        contention makes CDCM cost global, so every move is priced by a
+        complete (trace-free) replay.
     """
     if context is None:
         context = CdcmEvaluationContext(
@@ -593,8 +581,6 @@ def cdcm_objective(
             time_weight=time_weight,
             include_local=include_local,
             cache_size=cache_size,
-            repair=repair,
-            repair_policy=repair_policy,
         )
     return _bind_context(context)
 

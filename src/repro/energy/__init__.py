@@ -29,6 +29,7 @@ from repro.energy.dynamic import (
     cwm_dynamic_energy,
     cdcm_dynamic_energy,
     dynamic_energy_breakdown,
+    traffic_dynamic_energy,
 )
 from repro.energy.static import noc_static_power, noc_static_energy
 from repro.energy.totals import EnergyBreakdown, total_energy_cdcm, total_energy_cwm
@@ -45,6 +46,7 @@ __all__ = [
     "cwm_dynamic_energy",
     "cdcm_dynamic_energy",
     "dynamic_energy_breakdown",
+    "traffic_dynamic_energy",
     "noc_static_power",
     "noc_static_energy",
     "EnergyBreakdown",

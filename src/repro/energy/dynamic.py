@@ -10,7 +10,7 @@ energy, not the dynamic term.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Mapping as TypingMapping, Union
+from typing import TYPE_CHECKING, Dict, Iterable, Mapping as TypingMapping, Tuple, Union
 
 from repro.energy.bit_energy import bit_energy_route
 from repro.energy.technology import Technology
@@ -78,6 +78,30 @@ def cwm_dynamic_energy(
     return total
 
 
+def traffic_dynamic_energy(
+    traffic: Iterable[Tuple[int, int]],
+    technology: Technology,
+    include_local: bool = True,
+) -> float:
+    """``EDyNoC`` (equation 4) of ``(bits, hop_count)`` pairs, summed in order.
+
+    The one place the CDCM dynamic-energy sum lives: both
+    :func:`cdcm_dynamic_energy` (over a full schedule) and the trace-free
+    pricing replay (:meth:`~repro.noc.scheduler.CdcmScheduler.price`) feed
+    it their packets in delivery order, so the two totals are bit-identical.
+    """
+    per_bit: Dict[int, float] = {}
+    total = 0.0
+    for bits, hop_count in traffic:
+        energy = per_bit.get(hop_count)
+        if energy is None:
+            energy = per_bit[hop_count] = bit_energy_route(
+                technology, hop_count, include_local
+            )
+        total += bits * energy
+    return total
+
+
 def cdcm_dynamic_energy(
     schedule: ScheduleResult,
     technology: Technology,
@@ -89,15 +113,14 @@ def cdcm_dynamic_energy(
     energy of its route.  For a common application this equals the CWM value
     of the same mapping — both count the same bits over the same routes.
     """
-    total = 0.0
-    for packet_schedule in schedule.packet_schedules.values():
-        total += communication_dynamic_energy(
-            packet_schedule.packet.bits,
-            packet_schedule.hop_count,
-            technology,
-            include_local,
-        )
-    return total
+    return traffic_dynamic_energy(
+        (
+            (packet_schedule.packet.bits, packet_schedule.hop_count)
+            for packet_schedule in schedule.packet_schedules.values()
+        ),
+        technology,
+        include_local,
+    )
 
 
 def dynamic_energy_breakdown(
@@ -129,5 +152,6 @@ __all__ = [
     "communication_dynamic_energy",
     "cwm_dynamic_energy",
     "cdcm_dynamic_energy",
+    "traffic_dynamic_energy",
     "dynamic_energy_breakdown",
 ]

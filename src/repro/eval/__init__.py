@@ -26,12 +26,9 @@ Model-specific contexts:
   incident to the two moved cores: ``delta`` is exact and O(degree), which is
   what lets simulated annealing skip the full re-evaluation on every move;
 * :class:`~repro.eval.context.CdcmEvaluationContext` — CDCM cost is global
-  (contention couples all packets), so ``cost`` keeps the full schedule
-  replay (plus route table and memo) while swap deltas go through the
-  *bounded repair* engine of :mod:`repro.eval.repair` behind the ``repair``
-  gate: only the packets a swap can actually disturb are rescheduled
-  against a frozen background, exact at every resync point and
-  drift-bounded in between.
+  (contention couples all packets), so every ``cost`` is a complete replay,
+  run trace-free by :meth:`~repro.noc.scheduler.CdcmScheduler.price` (plus
+  route table and memo); there is no swap delta.
 
 A third, parallel half (:mod:`repro.eval.parallel`) makes ``evaluate_batch``
 pluggable: a :class:`~repro.eval.parallel.BatchBackend` decides where the
@@ -48,15 +45,6 @@ as flat edge arrays over the route table's dense matrices
 (:meth:`~repro.eval.route_table.RouteTable.as_arrays`) and prices a whole
 ``(pop, cores)`` population per call — bit-identical to the scalar
 accumulator, so every CWM batch miss is priced through it.
-
-A fifth, incremental half (:mod:`repro.eval.repair`) gives the CDCM model a
-swap delta after all: :class:`~repro.eval.repair.CdcmRepairEngine` keeps the
-per-resource occupation indices of the current mapping incrementally updated
-and prices a two-tile swap by replaying only the packets the swap can
-disturb, with a running drift estimate and periodic full-replay resyncs
-(:class:`~repro.eval.repair.RepairPolicy`) — default-on for search
-(:data:`~repro.eval.repair.DEFAULT_REPAIR`) and pinned off by the
-paper-reproduction comparison config, like ``use_delta``.
 
 Search engines discover delta support through the objective's
 ``supports_delta`` attribute (see :func:`repro.search.base.delta_callable`),
@@ -84,13 +72,6 @@ from repro.eval.parallel import (
     SerialBackend,
     warm_route_table,
 )
-from repro.eval.repair import (
-    DEFAULT_REPAIR,
-    CdcmRepairEngine,
-    RepairOutcome,
-    RepairPolicy,
-    RepairStats,
-)
 from repro.eval.vector import (
     VectorizedCwmKernel,
     array_to_mappings,
@@ -114,9 +95,4 @@ __all__ = [
     "VectorizedCwmKernel",
     "population_to_array",
     "array_to_mappings",
-    "DEFAULT_REPAIR",
-    "CdcmRepairEngine",
-    "RepairOutcome",
-    "RepairPolicy",
-    "RepairStats",
 ]

@@ -47,14 +47,11 @@ Two concrete contexts mirror the paper's two models:
   tile swap only reprices the edges incident to the two moved cores;
 * :class:`CdcmEvaluationContext` prices mappings under the communication
   dependence and computation model.  Contention makes CDCM cost global (a
-  swap can reshuffle every packet's serialisation), so full evaluations keep
-  the complete replay — but swap deltas are priced by the *bounded repair*
-  engine (:mod:`repro.eval.repair`) behind the ``repair`` gate: only the
-  packets a swap can plausibly affect are rescheduled against a frozen
-  background, with periodic full-replay resyncs bounding the drift.  The
-  gate is default-on (:data:`~repro.eval.repair.DEFAULT_REPAIR`) and pinned
-  off by :class:`~repro.analysis.comparison.ComparisonConfig`, mirroring
-  ``use_delta``.
+  swap can reshuffle every packet's serialisation), so every evaluation is
+  a complete replay — the trace-free one of
+  :meth:`~repro.noc.scheduler.CdcmScheduler.price` — and the context offers
+  no swap delta: swap-based engines price each move with the exact memoised
+  :meth:`EvaluationContext.cost`.
 """
 
 from __future__ import annotations
@@ -90,7 +87,6 @@ from repro.eval.route_table import (
     get_route_table,
     is_shared_route_table,
 )
-from repro.eval.repair import DEFAULT_REPAIR, CdcmRepairEngine, RepairPolicy
 from repro.eval.vector import VectorizedCwmKernel
 from repro.graphs.cdcg import CDCG
 from repro.graphs.cwg import CWG
@@ -713,14 +709,12 @@ class CwmEvaluationContext(EvaluationContext):
 class CdcmEvaluationContext(EvaluationContext):
     """Memoised CDCM pricing over the shared route table.
 
-    Full evaluations keep the complete schedule replay — contention couples
-    every packet, and the replay is accelerated by the shared
-    :class:`~repro.eval.route_table.RouteTable` inside the scheduler.  Swap
-    deltas, however, are priced incrementally by the *bounded repair* engine
-    (:class:`~repro.eval.repair.CdcmRepairEngine`) when the ``repair`` gate
-    is on: only the packets a swap can affect are rescheduled against a
-    frozen background, with periodic full-replay resyncs bounding the drift
-    (see :class:`~repro.eval.repair.RepairPolicy`).
+    Every evaluation is a complete replay — contention couples every packet —
+    run by the scheduler's trace-free pricing replay
+    (:meth:`~repro.noc.scheduler.CdcmScheduler.price`) over the shared
+    :class:`~repro.eval.route_table.RouteTable`.  The context has no swap
+    delta (``supports_delta`` is False), so swap-based engines price each
+    move with the exact memoised :meth:`EvaluationContext.cost`.
 
     Parameters
     ----------
@@ -744,26 +738,11 @@ class CdcmEvaluationContext(EvaluationContext):
         :meth:`EvaluationContext.evaluate_batch`; CDCM replays are orders of
         magnitude more expensive than CWM sums, which makes this context the
         main beneficiary of a process pool.
-    repair:
-        Whether :meth:`delta` / :meth:`metric_delta` are available, priced
-        by the bounded-repair engine.  ``None`` (the default) follows
-        :data:`~repro.eval.repair.DEFAULT_REPAIR` — on, the right choice
-        for swap-based search (deltas are exact at every resync point and
-        drift-bounded between them).
-        :class:`~repro.analysis.comparison.ComparisonConfig` pins it off so
-        the paper-reproduction rows keep pure full-replay pricing,
-        mirroring the ``use_delta`` convention.  Full
-        evaluations (:meth:`EvaluationContext.cost`,
-        :meth:`EvaluationContext.metrics`, batches) always stay full-replay.
-    repair_policy:
-        Optional :class:`~repro.eval.repair.RepairPolicy` overriding the
-        default resync/drift contract of the repair engine.
 
     Notes
     -----
-    Pickling is *light*: the memo, backend and repair engine *state* are
-    dropped (the ``repair`` gate and policy travel, so an unpickled context
-    reprices swaps the same way), the shared route table is rebuilt by the
+    Pickling is *light*: the memo, the backend and the scheduler's compiled
+    replay plan are dropped, the shared route table is rebuilt by the
     unpickling process, and a custom table travels with the pickle (see
     :class:`CwmEvaluationContext`).
     """
@@ -782,8 +761,6 @@ class CdcmEvaluationContext(EvaluationContext):
         route_table: Optional[RouteTable] = None,
         cache_size: int = DEFAULT_CACHE_SIZE,
         backend: Optional["BatchBackend"] = None,
-        repair: Optional[bool] = None,
-        repair_policy: Optional[RepairPolicy] = None,
     ) -> None:
         super().__init__(cache_size, backend)
         self.cdcg = cdcg
@@ -798,15 +775,6 @@ class CdcmEvaluationContext(EvaluationContext):
         )
         self.name = f"cdcm({cdcg.name},{metric})"
         self.weights = scalarisation_weights(metric, energy_weight, time_weight)
-        self.repair = DEFAULT_REPAIR if repair is None else bool(repair)
-        self.repair_policy = repair_policy
-        # Instance-level capability flags shadow the class defaults so
-        # engines discover delta support per gate state.
-        self.supports_delta = self.repair
-        self.supports_metric_delta = self.repair
-        # The engine binds lazily on the first delta: building it replays
-        # nothing, but batch-only users should not even pay the allocation.
-        self._repair_engine: Optional[CdcmRepairEngine] = None
 
     # ------------------------------------------------------------------
     # Pickling (picklable-light: workers rebuild tables locally)
@@ -826,8 +794,6 @@ class CdcmEvaluationContext(EvaluationContext):
             "include_local": evaluator.include_local,
             "cache_size": self._cache_size,
             "route_table": None if shared else table,
-            "repair": self.repair,
-            "repair_policy": self.repair_policy,
         }
 
     def __setstate__(self, state: Dict[str, Any]) -> None:
@@ -840,69 +806,12 @@ class CdcmEvaluationContext(EvaluationContext):
             include_local=state["include_local"],
             route_table=state.get("route_table"),
             cache_size=state["cache_size"],
-            repair=state.get("repair"),
-            repair_policy=state.get("repair_policy"),
         )
 
     def _compute_metrics(
         self, mapping: Union[Mapping, Dict[str, int]]
     ) -> MetricVector:
         return self.evaluator.metrics(self.cdcg, mapping)
-
-    def repair_engine(self) -> CdcmRepairEngine:
-        """The context's bounded-repair engine (built on first use).
-
-        Raises
-        ------
-        ConfigurationError
-            When the ``repair`` gate is off — callers must check
-            ``supports_metric_delta`` first, like any delta consumer.
-        """
-        if not self.repair:
-            raise ConfigurationError(
-                f"{self.name}: the repair gate is off; construct the context "
-                f"with repair=True to price swap deltas incrementally"
-            )
-        engine = self._repair_engine
-        if engine is None:
-            engine = CdcmRepairEngine(
-                self.cdcg,
-                self.platform,
-                route_table=self.evaluator.route_table,
-                include_local=self.evaluator.include_local,
-                weights=self.weights,
-                policy=self.repair_policy,
-            )
-            self._repair_engine = engine
-        return engine
-
-    def metric_delta(
-        self, mapping: Mapping, tile_a: int, tile_b: int
-    ) -> MetricVector:
-        """Per-component change of ``mapping.swap_tiles(tile_a, tile_b)``, repaired.
-
-        Priced by the bounded-repair engine: exact at every resync point
-        (and whenever the repair frontier is empty), drift-bounded in
-        between — see :mod:`repro.eval.repair` for the contract.  Raises
-        :class:`NotImplementedError` when the ``repair`` gate is off, like
-        any context without delta support.
-        """
-        if not self.repair:
-            return super().metric_delta(mapping, tile_a, tile_b)
-        return self.repair_engine().metric_delta(mapping, tile_a, tile_b)
-
-    def delta(self, mapping: Mapping, tile_a: int, tile_b: int) -> float:
-        """Scalar view of :meth:`metric_delta` under the context's weights.
-
-        What swap-based engines (annealing, greedy) consume through
-        :func:`repro.search.base.delta_callable`; subject to the same
-        exact-at-resync / bounded-between contract as :meth:`metric_delta`.
-        """
-        if not self.repair:
-            return super().delta(mapping, tile_a, tile_b)
-        return self.metric_delta(mapping, tile_a, tile_b).weighted_sum(
-            self.weights, strict=False
-        )
 
     def evaluate(
         self,

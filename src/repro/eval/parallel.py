@@ -23,6 +23,12 @@ cost no matter which backend priced it (pinned by ``tests/test_parallel.py``).
 The same pool also shards eager route-table construction by source row
 (:func:`warm_route_table`), so >16x16 NoC sweeps do not pay the O(n^2)
 warm-up on one core.
+
+A pool whose worker dies (killed, out of memory) is *broken*: every later
+submission raises :class:`~concurrent.futures.process.BrokenProcessPool`.
+:class:`ProcessPoolBackend` heals itself — it drops the broken pool, builds a
+new one and re-submits the batch's tasks (pricing is idempotent), up to
+:data:`POOL_RETRY_LIMIT` times per batch.
 """
 
 from __future__ import annotations
@@ -35,6 +41,7 @@ import weakref
 from abc import ABC, abstractmethod
 from collections import OrderedDict
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from typing import (
     Any,
     Callable,
@@ -61,6 +68,10 @@ if TYPE_CHECKING:  # pragma: no cover - imports only used by type checkers
 #: the parent process, so a worker's per-token cache can never confuse two
 #: different contexts (unlike ``id()``, which the allocator reuses).
 _TOKEN_COUNTER = itertools.count(1)
+
+#: How many times one batch is re-submitted to a rebuilt pool after the pool
+#: broke (a worker process died) before the error reaches the caller.
+POOL_RETRY_LIMIT = 1
 
 #: How many unpickled contexts each worker process keeps alive.
 _WORKER_CONTEXT_LIMIT = 8
@@ -310,7 +321,9 @@ class ProcessPoolBackend(BatchBackend):
     The pool is created on first use and survives across batches; call
     :meth:`close` (or use the backend as a context manager) to shut it down.
     Results are reassembled in submission order, so pricing is bit-identical
-    to :class:`SerialBackend` regardless of worker scheduling.
+    to :class:`SerialBackend` regardless of worker scheduling.  When a worker
+    dies the pool is rebuilt and the batch re-submitted (at most
+    :data:`POOL_RETRY_LIMIT` times); :attr:`rebuilds` counts the rebuilds.
     """
 
     name = "process-pool"
@@ -334,6 +347,8 @@ class ProcessPoolBackend(BatchBackend):
         )
         self._start_method = start_method
         self._pool: Optional[ProcessPoolExecutor] = None
+        #: How many broken pools have been replaced over the backend's life.
+        self.rebuilds = 0
         # token + pickled payload per context, invalidated when the context
         # is garbage collected (WeakKey) — tokens are never reused, so stale
         # worker-side cache entries can only age out, not alias.
@@ -353,6 +368,27 @@ class ProcessPoolBackend(BatchBackend):
                 max_workers=self.n_workers, mp_context=mp_context
             )
         return self._pool
+
+    def _run(self, tasks: Sequence[Tuple[Callable[..., Any], Tuple[Any, ...]]]) -> List[Any]:
+        """Run ``fn(*args)`` tasks on the pool, results in submission order.
+
+        A broken pool is shut down, replaced and the whole task list
+        re-submitted — every task is an idempotent pricing or ``map`` unit —
+        up to :data:`POOL_RETRY_LIMIT` times.
+        """
+        retries = 0
+        while True:
+            pool = self._ensure_pool()
+            try:
+                futures = [pool.submit(fn, *args) for fn, args in tasks]
+                return [future.result() for future in futures]
+            except BrokenProcessPool:
+                pool.shutdown(wait=False, cancel_futures=True)
+                self._pool = None
+                if retries == POOL_RETRY_LIMIT:
+                    raise
+                retries += 1
+                self.rebuilds += 1
 
     def _context_payload(self, context: "EvaluationContext") -> Tuple[int, bytes]:
         entry = self._payloads.get(context)
@@ -407,15 +443,13 @@ class ProcessPoolBackend(BatchBackend):
             return inline_price(items)
         token, payload = self._context_payload(context)
         chunk = self.chunk_size or math.ceil(len(items) / self.n_workers)
-        pool = self._ensure_pool()
-        futures = [
-            pool.submit(chunk_task, token, payload, items[i : i + chunk])
-            for i in range(0, len(items), chunk)
-        ]
-        results: List[Any] = []
-        for future in futures:
-            results.extend(future.result())
-        return results
+        chunks = self._run(
+            [
+                (chunk_task, (token, payload, items[i : i + chunk]))
+                for i in range(0, len(items), chunk)
+            ]
+        )
+        return [result for priced in chunks for result in priced]
 
     def map(
         self,
@@ -426,9 +460,7 @@ class ProcessPoolBackend(BatchBackend):
         tasks = [(fn, tuple(args)) for args in argslist]
         if len(tasks) <= 1:
             return [fn(*args) for _, args in tasks]
-        pool = self._ensure_pool()
-        futures = [pool.submit(_call, task) for task in tasks]
-        return [future.result() for future in futures]
+        return self._run([(_call, (task,)) for task in tasks])
 
     def close(self) -> None:
         """Shut the pool down and forget all cached context payloads."""
@@ -518,6 +550,7 @@ def warm_route_table(
 
 
 __all__ = [
+    "POOL_RETRY_LIMIT",
     "BatchBackend",
     "SerialBackend",
     "ProcessPoolBackend",

@@ -112,6 +112,9 @@ class CDCG:
         self._successors: Dict[str, Set[str]] = {}
         self._predecessors: Dict[str, Set[str]] = {}
         self._explicit_cores: List[str] = []
+        # Bumped by every mutation, so compiled views of the graph (the
+        # CDCM replay plan) can tell when they are stale.
+        self._revision = 0
 
     # ------------------------------------------------------------------
     # Construction
@@ -137,6 +140,7 @@ class CDCG:
         self._order.append(name)
         self._successors.setdefault(name, set())
         self._predecessors.setdefault(name, set())
+        self._revision += 1
         return packet
 
     def add_dependence(self, predecessor: str, successor: str) -> None:
@@ -165,6 +169,7 @@ class CDCG:
             )
         self._successors[predecessor].add(successor)
         self._predecessors[successor].add(predecessor)
+        self._revision += 1
 
     def add_core(self, core: str) -> None:
         """Register a core that may not appear in any packet.
@@ -177,10 +182,16 @@ class CDCG:
             raise GraphValidationError("core name must be a non-empty string")
         if core not in self._explicit_cores:
             self._explicit_cores.append(core)
+            self._revision += 1
 
     # ------------------------------------------------------------------
     # Inspection
     # ------------------------------------------------------------------
+    @property
+    def revision(self) -> int:
+        """Mutation counter: changes whenever a packet, dependence or core is added."""
+        return self._revision
+
     @property
     def packets(self) -> List[Packet]:
         """All packets in insertion order."""

@@ -23,31 +23,25 @@ The timing model is validated against the paper's worked example: it
 reproduces every interval of Figure 3 and the execution times of 100 ns /
 90 ns for the two mappings of Figure 1(c, d).
 
-Besides the full replay, the scheduler exposes the machinery of the
-*bounded-repair* delta path (:mod:`repro.eval.repair`):
-
-* :func:`contention_resource` / :func:`contention_index` — which resources
-  arbitrate (inter-router links always, local core-router links only under
-  ``serialize_local_links``) and the per-resource sorted occupation lists a
-  repair engine keeps incrementally updated;
-* :class:`FrozenOccupations` — a read-only background of occupations the
-  partial replay treats as immovable;
-* :meth:`CdcmScheduler.schedule_subset` — replays only a subset of packets
-  against such a frozen background.  With the subset covering every packet
-  and no background, the partial replay is bit-identical to
-  :meth:`CdcmScheduler.schedule` by construction (pinned in
-  ``tests/test_repair.py``).
+Pricing a mapping needs none of that trace: :meth:`CdcmScheduler.price`
+runs the same replay over a CDCG compiled once into integer arrays (a
+replay plan) and keeps only running aggregates — the execution time,
+per-link busy time and each packet's ``(bits, hop_count)`` — which is what
+every metric-only consumer (evaluation contexts, batches, pool workers, the
+mapping service, co-design, scenarios) prices through.  :meth:`schedule`
+stays the reference replay, and the source of reports, figures and Gantt
+charts; the two are bit-identical by construction (same heap order, same
+arithmetic, same addition order), pinned by ``tests/test_pricing.py``.
 """
 
 from __future__ import annotations
 
 import heapq
-from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping as TypingMapping, Optional, Sequence, Tuple, TYPE_CHECKING
+from typing import Dict, List, Mapping as TypingMapping, NamedTuple, Optional, Tuple, TYPE_CHECKING
 
 from repro.graphs.cdcg import CDCG, Packet
-from repro.noc.platform import Platform
+from repro.noc.platform import NocParameters, Platform
 from repro.noc.resources import (
     LinkResource,
     LocalLinkResource,
@@ -200,119 +194,76 @@ class ScheduleResult:
         )
 
 
-def contention_resource(resource: Resource, serialize_local: bool) -> bool:
-    """Whether *resource* arbitrates between packets (can delay a grant).
-
-    Inter-router links always serialise competing packets; local core-router
-    links only do under ``serialize_local_links``; routers never block in
-    this model (they are cost-variable records only).
-    """
-    if isinstance(resource, LinkResource):
-        return True
-    if isinstance(resource, LocalLinkResource):
-        return serialize_local
-    return False
-
-
-def contention_index(
-    result: ScheduleResult, serialize_local: bool
-) -> Dict[Resource, List[Occupation]]:
-    """Per-resource occupation lists of the *contention* resources of a schedule.
-
-    The lists are sorted by start time, which for one arbitrating resource is
-    also grant order (each new grant starts at or after the previous grant's
-    end), and non-overlapping — the two invariants the bounded-repair path
-    (:mod:`repro.eval.repair`) relies on to keep them incrementally updated
-    and to query them through :class:`FrozenOccupations`.
-    """
-    index: Dict[Resource, List[Occupation]] = {}
-    for resource, occupations in result.occupations.items():
-        if contention_resource(resource, serialize_local):
-            index[resource] = sorted(occupations, key=lambda o: o.start)
-    return index
-
-
-class FrozenOccupations:
-    """A read-only background of occupations a partial replay cannot move.
-
-    Built from per-resource lists that are sorted by start time and
-    non-overlapping (the invariant :func:`contention_index` produces — ends
-    are then increasing too, so the latest occupation starting before an
-    instant is also the one blocking longest).
-    :meth:`CdcmScheduler.schedule_subset` consults it when granting an
-    output: a background occupation behaves exactly like an already-granted
-    foreground one.
-    """
-
-    __slots__ = ("_starts", "_occupations")
-
-    def __init__(self, occupations: TypingMapping[Resource, Sequence[Occupation]]) -> None:
-        self._occupations: Dict[Resource, Sequence[Occupation]] = dict(occupations)
-        # Start arrays are materialised lazily, per resource, on first
-        # lookup — a repair candidate consults only the resources its
-        # replayed routes actually cross.
-        self._starts: Dict[Resource, List[float]] = {}
-
-    def _starts_of(self, resource: Resource) -> Optional[List[float]]:
-        """The (cached) sorted start array of *resource*, or ``None`` if empty."""
-        starts = self._starts.get(resource)
-        if starts is None:
-            occupations = self._occupations.get(resource)
-            if not occupations:
-                return None
-            starts = [o.start for o in occupations]
-            self._starts[resource] = starts
-        return starts
-
-    def blocking_end(self, resource: Resource, before: float) -> float:
-        """End of the latest background occupation of *resource* starting before *before*.
-
-        Returns 0.0 when no background occupation starts earlier — the same
-        "free since forever" default the full replay uses for an untouched
-        ``free_at`` entry.
-        """
-        starts = self._starts_of(resource)
-        if starts is None:
-            return 0.0
-        index = bisect_left(starts, before) - 1
-        if index < 0:
-            return 0.0
-        return self._occupations[resource][index].end
-
-    def starting_at_or_after(
-        self, resource: Resource, start: float
-    ) -> Sequence[Occupation]:
-        """Background occupations of *resource* starting at or after *start*.
-
-        These are the grants the full replay would have (re-)arbitrated
-        *after* a change at *start* — the repair engine's frontier: if any
-        exist on a touched resource, the bounded step is only approximate.
-        """
-        starts = self._starts_of(resource)
-        if starts is None:
-            return ()
-        index = bisect_left(starts, start)
-        occupations = self._occupations[resource]
-        return occupations[index:] if index < len(starts) else ()
-
-
-@dataclass
-class SubsetSchedule:
-    """Outcome of a bounded partial replay (:meth:`CdcmScheduler.schedule_subset`).
+class ReplayPrice(NamedTuple):
+    """What :meth:`CdcmScheduler.price` keeps of a replay.
 
     Attributes
     ----------
-    schedules:
-        One :class:`PacketSchedule` per replayed packet.
-    footprints:
-        Per replayed packet, the *contention-resource* occupations it
-        reserved, as ``(resource, occupation)`` pairs in route order — what
-        the repair engine splices into its incrementally maintained
-        :func:`contention_index`.
+    execution_time:
+        ``texec`` — the latest packet delivery (0.0 for an empty CDCG).
+    max_link_utilisation:
+        Largest fraction of ``execution_time`` any inter-router link is busy
+        (:meth:`ScheduleResult.max_link_utilisation`).
+    traffic:
+        One ``(bits, hop_count)`` pair per packet, in delivery (heap-pop)
+        order — the input of
+        :func:`~repro.energy.dynamic.traffic_dynamic_energy`.
     """
 
-    schedules: Dict[str, PacketSchedule]
-    footprints: Dict[str, List[Tuple[Resource, Occupation]]]
+    execution_time: float
+    max_link_utilisation: float
+    traffic: List[Tuple[int, int]]
+
+
+class _ReplayPlan:
+    """A CDCG compiled for :meth:`CdcmScheduler.price`.
+
+    Packets become indices in CDCG declaration order (which is also the heap
+    tie-break rank), cores become indices into :attr:`cores`, and
+    dependences become integer successor lists plus predecessor counts.
+    Stream times are precomputed from the platform's wormhole parameters.
+    The plan records the CDCG's :attr:`~repro.graphs.cdcg.CDCG.revision`;
+    the scheduler recompiles once the graph has been mutated.
+    """
+
+    __slots__ = (
+        "cdcg",
+        "revision",
+        "cores",
+        "source",
+        "target",
+        "computation",
+        "bits",
+        "stream",
+        "successors",
+        "predecessor_counts",
+        "roots",
+    )
+
+    def __init__(self, cdcg: CDCG, parameters: NocParameters) -> None:
+        self.cdcg = cdcg
+        self.revision = cdcg.revision
+        packets = cdcg.packets
+        rank = {packet.name: index for index, packet in enumerate(packets)}
+        self.cores = cdcg.cores()
+        core_index = {core: index for index, core in enumerate(self.cores)}
+        link_time = parameters.link_time
+        self.source = [core_index[p.source] for p in packets]
+        self.target = [core_index[p.target] for p in packets]
+        self.computation = [p.computation_time for p in packets]
+        self.bits = [p.bits for p in packets]
+        self.stream = [parameters.flits(p.bits) * link_time for p in packets]
+        self.successors = [
+            sorted(rank[name] for name in cdcg.successors(p.name)) for p in packets
+        ]
+        self.predecessor_counts = [len(cdcg.predecessors(p.name)) for p in packets]
+        roots = [
+            (0.0 + p.computation_time, index)
+            for index, p in enumerate(packets)
+            if self.predecessor_counts[index] == 0
+        ]
+        heapq.heapify(roots)
+        self.roots: List[Tuple[float, int]] = roots
 
 
 class CdcmScheduler:
@@ -338,19 +289,18 @@ class CdcmScheduler:
 
             route_table = get_route_table(platform)
         self._route_table = route_table
-        # Heap tie-break order of the most recent CDCG, cached because
-        # schedule_subset is called per repair delta (hot path) and the
-        # packet list of a CDCG instance never changes.
-        self._order_cache: Optional[Tuple[CDCG, Dict[str, int]]] = None
+        # The compiled plan of the most recently priced CDCG: one entry per
+        # scheduler, so a context's scheduler holds exactly its own
+        # application's plan and nothing outlives the scheduler.
+        self._plan: Optional[_ReplayPlan] = None
 
-    def _order_index(self, cdcg: CDCG) -> Dict[str, int]:
-        """Deterministic heap tie-break ranks (CDCG declaration order)."""
-        cached = self._order_cache
-        if cached is not None and cached[0] is cdcg:
-            return cached[1]
-        order_index = {p.name: i for i, p in enumerate(cdcg.packets)}
-        self._order_cache = (cdcg, order_index)
-        return order_index
+    def _compiled(self, cdcg: CDCG) -> "_ReplayPlan":
+        """The compiled replay plan of *cdcg* (cached, recompiled on mutation)."""
+        plan = self._plan
+        if plan is None or plan.cdcg is not cdcg or plan.revision != cdcg.revision:
+            plan = _ReplayPlan(cdcg, self.platform.parameters)
+            self._plan = plan
+        return plan
 
     @property
     def route_table(self):
@@ -450,124 +400,100 @@ class CdcmScheduler:
             occupations=occupations,
         )
 
-    def schedule_subset(
-        self,
-        cdcg: CDCG,
-        tile_of: TypingMapping[str, int],
-        subset: Iterable[str],
-        ready_floor: Optional[TypingMapping[str, float]] = None,
-        background: Optional[FrozenOccupations] = None,
-    ) -> SubsetSchedule:
-        """Replay only *subset* of the CDCG against a frozen background.
+    def price(self, cdcg: CDCG, mapping: "Mapping | TypingMapping[str, int]") -> "ReplayPrice":
+        """Replay *cdcg* like :meth:`schedule`, keeping only what pricing reads.
 
-        The bounded-repair primitive: packets in *subset* are rescheduled
-        with the exact full-replay timing rules, competing against each
-        other **and** against *background* occupations (which never move).
-        Dependences on packets outside the subset enter through
-        *ready_floor* — the caller supplies each subset packet's ready time
-        as seen from the frozen world (typically the maximum old delivery
-        time of its out-of-subset predecessors).
-
-        With *subset* covering every packet, an empty floor and no
-        background, this is bit-identical to :meth:`schedule` (same heap
-        order, same arithmetic); with a partial subset the result is exact
-        whenever no background grant would have been re-arbitrated after the
-        replayed changes — the condition the repair engine checks through
-        :meth:`FrozenOccupations.starting_at_or_after`.
-
-        Parameters
-        ----------
-        cdcg:
-            The application graph (supplies packets and dependences).
-        tile_of:
-            Core-to-tile placement of the *candidate* mapping, covering at
-            least every core a subset packet touches.  Not re-validated —
-            callers hold an already-validated mapping.
-        subset:
-            Names of the packets to replay.
-        ready_floor:
-            Per-packet lower bound on the ready time (absolute ns)
-            contributed by out-of-subset predecessors; missing entries mean
-            0.0.
-        background:
-            Frozen occupations of the packets *not* being replayed; ``None``
-            means an empty network.
+        The result is bit-identical to the matching aggregates of
+        :meth:`schedule`: the same heap order (injection time, then CDCG
+        declaration order), the same grant arithmetic, link busy time summed
+        as ``(start + stream) - start`` in grant order from ``0``, and the
+        utilisation maximum taken over links in first-use order.  No
+        per-resource occupation or per-packet schedule is built.
 
         Raises
         ------
+        MappingError
+            If a core of the application has no tile, or two cores share one.
         SchedulingError
-            If the dependences among the subset packets contain a cycle.
+            If the CDCG has a dependence cycle.
         """
+        tile_of = _tile_lookup(cdcg, mapping, self.platform)
+        plan = self._compiled(cdcg)
+        tiles = [tile_of[core] for core in plan.cores]
         params = self.platform.parameters
         tr = params.routing_time
         tl = params.link_time
         serialize_local = params.serialize_local_links
-        names = set(subset)
-        floors = ready_floor or {}
+        path_of = self._route_table.path
+        n = self._route_table.num_tiles
+        source, target = plan.source, plan.target
+        computation, bits, stream = plan.computation, plan.bits, plan.stream
+        successors = plan.successors
+        remaining = list(plan.predecessor_counts)
+        ready = [0.0] * len(remaining)
+        heap = list(plan.roots)
 
-        order_index = self._order_index(cdcg)
-        remaining_preds = {
-            name: sum(1 for p in cdcg.predecessors(name) if p in names)
-            for name in names
-        }
-        ready_time: Dict[str, float] = {}
-        heap: List[Tuple[float, int, str]] = []
-        for name in names:
-            if remaining_preds[name] == 0:
-                ready = floors.get(name, 0.0)
-                ready_time[name] = ready
-                packet = cdcg.packet(name)
-                heapq.heappush(
-                    heap, (ready + packet.computation_time, order_index[name], name)
-                )
-
-        free_at: Dict[Resource, float] = {}
-        schedules: Dict[str, PacketSchedule] = {}
-        footprints: Dict[str, List[Tuple[Resource, Occupation]]] = {
-            name: [] for name in names
-        }
+        free_local: Dict[int, float] = {}
+        free_link: Dict[int, float] = {}
+        busy: Dict[int, float] = {}
+        traffic: List[Tuple[int, int]] = []
+        execution_time = 0.0
+        heappop, heappush = heapq.heappop, heapq.heappush
         while heap:
-            _, _, name = heapq.heappop(heap)
-            packet = cdcg.packet(name)
-            schedule = self._schedule_packet_bounded(
-                packet,
-                ready_time[name],
-                tile_of[packet.source],
-                tile_of[packet.target],
-                tr,
-                tl,
-                params.flits(packet.bits),
-                serialize_local,
-                free_at,
-                footprints[name],
-                background,
-            )
-            schedules[name] = schedule
+            injection, index = heappop(heap)
+            source_tile = tiles[source[index]]
+            target_tile = tiles[target[index]]
+            path = path_of(source_tile, target_tile)
+            stream_time = stream[index]
 
-            for successor in cdcg.successors(name):
-                if successor not in names:
-                    continue
-                remaining_preds[successor] -= 1
-                current = ready_time.get(successor, floors.get(successor, 0.0))
-                ready_time[successor] = max(current, schedule.delivery_time)
-                if remaining_preds[successor] == 0:
-                    succ_packet = cdcg.packet(successor)
-                    heapq.heappush(
-                        heap,
-                        (
-                            ready_time[successor] + succ_packet.computation_time,
-                            order_index[successor],
-                            successor,
-                        ),
-                    )
+            start = injection
+            if serialize_local:
+                available = free_local.get(source_tile, 0.0)
+                if available > injection:
+                    start = available
+                free_local[source_tile] = start + stream_time
+            head_arrival = start + tl
+            # Inter-router hops; the path has at least two routers, since
+            # the two endpoint cores sit on distinct tiles.
+            for position in range(len(path) - 1):
+                key = path[position] * n + path[position + 1]
+                link_start = head_arrival + tr
+                available = free_link.get(key, 0.0)
+                if available > head_arrival and available + tr > link_start:
+                    link_start = available + tr
+                end = link_start + stream_time
+                free_link[key] = end
+                busy[key] = busy.get(key, 0) + (end - link_start)
+                head_arrival = link_start + tl
+            # The target router's output: the local link to the target core.
+            link_start = head_arrival + tr
+            if serialize_local:
+                available = free_local.get(target_tile, 0.0)
+                if available > head_arrival and available + tr > link_start:
+                    link_start = available + tr
+                free_local[target_tile] = link_start + stream_time
+            delivery = link_start + stream_time
+            if delivery > execution_time:
+                execution_time = delivery
+            traffic.append((bits[index], len(path)))
 
-        if len(schedules) != len(names):
+            for successor in successors[index]:
+                remaining[successor] -= 1
+                if delivery > ready[successor]:
+                    ready[successor] = delivery
+                if remaining[successor] == 0:
+                    heappush(heap, (ready[successor] + computation[successor], successor))
+
+        if len(traffic) != cdcg.num_packets:
             raise SchedulingError(
-                f"only {len(schedules)} of {len(names)} subset packets could "
-                f"be scheduled; the CDCG of {cdcg.name!r} has a dependence "
-                f"cycle"
+                f"only {len(traffic)} of {cdcg.num_packets} packets could be "
+                f"scheduled; the CDCG of {cdcg.name!r} has a dependence cycle"
             )
-        return SubsetSchedule(schedules=schedules, footprints=footprints)
+        utilisation = 0.0
+        if execution_time > 0:
+            for busy_time in busy.values():
+                utilisation = max(utilisation, busy_time / execution_time)
+        return ReplayPrice(execution_time, utilisation, traffic)
 
     # ------------------------------------------------------------------
     # Internals
@@ -677,125 +603,6 @@ class CdcmScheduler:
             num_flits=num_flits,
         )
 
-    def _schedule_packet_bounded(
-        self,
-        packet: Packet,
-        ready: float,
-        source_tile: int,
-        target_tile: int,
-        tr: float,
-        tl: float,
-        num_flits: int,
-        serialize_local: bool,
-        free_at: Dict[Resource, float],
-        footprint: List[Tuple[Resource, Occupation]],
-        background: Optional[FrozenOccupations],
-    ) -> PacketSchedule:
-        """Timing twin of :meth:`_schedule_packet` against a frozen background.
-
-        Identical grant arithmetic, with two differences: (1) besides the
-        replayed packets' ``free_at``, a grant also yields to *background*
-        occupations — resolved by a small fixpoint, since pushing the start
-        later can expose yet-later background grants; (2) only
-        contention-resource occupations are recorded (into *footprint*) —
-        router records never influence timing and the repair engine prices
-        dynamic energy from hop counts, not occupation lists.
-        """
-        path = self._route_table.path(source_tile, target_tile)
-        injection = ready + packet.computation_time
-        stream_time = num_flits * tl
-        contention = 0.0
-
-        source_local = LocalLinkResource(source_tile)
-        source_start = injection
-        if serialize_local:
-            available = free_at.get(source_local, 0.0)
-            if available > injection:
-                source_start = available
-            if background is not None:
-                while True:
-                    blocked = background.blocking_end(source_local, source_start)
-                    if blocked > source_start:
-                        source_start = blocked
-                    else:
-                        break
-            if source_start > injection:
-                contention += source_start - injection
-            free_at[source_local] = source_start + stream_time
-            footprint.append(
-                (
-                    source_local,
-                    Occupation(
-                        packet.name,
-                        packet.bits,
-                        source_start,
-                        source_start + stream_time,
-                        contended=source_start > injection,
-                    ),
-                )
-            )
-
-        head_arrival = source_start + tl
-        link_start = head_arrival  # placeholder, overwritten in the loop
-        for position, router_tile in enumerate(path):
-            is_last = position == len(path) - 1
-            if is_last:
-                output: Resource = LocalLinkResource(target_tile)
-                output_contends = serialize_local
-            else:
-                output = LinkResource(router_tile, path[position + 1])
-                output_contends = True
-
-            earliest = head_arrival + tr
-            link_start = earliest
-            contended_here = False
-            if output_contends:
-                available = free_at.get(output, 0.0)
-                if available > head_arrival:
-                    link_start = max(link_start, available + tr)
-                if background is not None:
-                    # Fixpoint: a later start can fall behind further frozen
-                    # grants; each push is strictly later and bounded by the
-                    # last background end + tr, so the loop terminates.
-                    while True:
-                        blocked = background.blocking_end(output, link_start)
-                        if blocked > head_arrival:
-                            moved = max(link_start, blocked + tr)
-                            if moved > link_start:
-                                link_start = moved
-                                continue
-                        break
-                if link_start > earliest:
-                    contended_here = True
-                    contention += link_start - earliest
-                free_at[output] = link_start + stream_time
-                footprint.append(
-                    (
-                        output,
-                        Occupation(
-                            packet.name,
-                            packet.bits,
-                            link_start,
-                            link_start + stream_time,
-                            contended=contended_here,
-                        ),
-                    )
-                )
-            head_arrival = link_start + tl
-
-        delivery = link_start + stream_time
-        return PacketSchedule(
-            packet=packet,
-            source_tile=source_tile,
-            target_tile=target_tile,
-            path=tuple(path),
-            ready_time=ready,
-            injection_time=injection,
-            delivery_time=delivery,
-            contention_delay=contention,
-            num_flits=num_flits,
-        )
-
 
 def _record(
     occupations: Dict[Resource, List[Occupation]],
@@ -841,8 +648,5 @@ __all__ = [
     "CdcmScheduler",
     "ScheduleResult",
     "PacketSchedule",
-    "SubsetSchedule",
-    "FrozenOccupations",
-    "contention_resource",
-    "contention_index",
+    "ReplayPrice",
 ]

@@ -8,15 +8,13 @@ best mapping ever seen.  The schedule (initial temperature, geometric cooling,
 moves per temperature, stop condition) is configurable through
 :class:`AnnealingSchedule`.
 
-When the objective advertises incremental pricing (objectives built through
-:mod:`repro.core.objective` do — see :mod:`repro.eval`), the engine prices
-each proposed swap with ``objective.delta`` instead of re-evaluating the
-whole mapping, and only materialises the candidate mapping when the move is
-accepted.  For CWM that delta is exact and O(degree); for CDCM it is the
-*bounded repair* of :mod:`repro.eval.repair` — a partial reschedule of only
-the disturbed packets, exact at every resync point and drift-bounded in
-between.  Acceptance decisions depend on the move's delta
-alone, and the incumbent cost is re-synchronised against a full evaluation
+When the objective advertises incremental pricing (CWM objectives built
+through :mod:`repro.core.objective` do — see :mod:`repro.eval`), the engine
+prices each proposed swap with ``objective.delta`` instead of re-evaluating
+the whole mapping, and only materialises the candidate mapping when the move
+is accepted.  That CWM delta is exact and O(degree); CDCM objectives have no
+delta, so every CDCM move is priced by a full (memoised) evaluation.
+Acceptance decisions depend on the move's delta alone, and the incumbent cost is re-synchronised against a full evaluation
 whenever a new best is recorded, so the walk follows the full-re-evaluation
 path's accepted-move trajectory up to floating-point tie-breaking (an
 incremental sum rounds differently than the difference of two full sums, so

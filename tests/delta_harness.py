@@ -1,30 +1,21 @@
 """Reusable delta-conformance property harness.
 
-Both incremental pricers of the suite make the same shape of promise: walk a
-swap sequence pricing every move with ``objective.delta`` and the running sum
-``cost(initial) + sum(deltas)`` stays within a declared bound of a full
-recompute.  The bound differs per model:
-
-* CWM ``delta()`` is *exact* (O(degree) re-pricing of the touched edges) —
-  the tracked cost must match a full recompute to float tolerance on every
-  step;
-* CDCM bounded repair (:mod:`repro.eval.repair`) is exact *at every resync
-  point* and whenever a step's repair frontier is empty, and drift-bounded in
-  between — the harness follows the engine's own
-  :class:`~repro.eval.repair.RepairOutcome` stream to know which bound
-  applies when.
+An incremental pricer promises that walking a swap sequence, pricing every
+move with ``objective.delta``, keeps the running sum ``cost(initial) +
+sum(deltas)`` within float tolerance of a full recompute on every step.  The
+CWM ``delta()`` (O(degree) re-pricing of the touched edges) is the pricer
+that makes this promise.
 
 :func:`check_delta_conformance` is deliberately objective-agnostic: it takes
 plain callables for the ground-truth cost and the delta, so it can pin any
 (objective, topology, routing) combination — ``tests/test_eval.py`` runs the
-CWM delta through it, ``tests/test_repair.py`` sweeps CDCM repair over
-mesh/torus/irregular fabrics and seeded fuzz sequences.
+CWM delta through it on mesh and torus fabrics.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Sequence, Tuple
 
 from repro.core.mapping import Mapping
 
@@ -34,28 +25,20 @@ _REL_FLOOR = 1e-12
 
 @dataclass
 class ConformanceReport:
-    """What a conformance walk observed — for assertions beyond the bounds.
+    """What a conformance walk observed — for assertions beyond the bound.
 
     Attributes
     ----------
     steps:
         Number of swaps walked.
-    exact_steps:
-        Steps on which the tracked cost was held to the ``exact_rel`` bound
-        (the pricer claimed exactness since the last resync).
-    bounded_steps:
-        Steps on which only the loose ``bounded_rel`` bound applied.
-    worst_exact_rel / worst_bounded_rel:
-        Largest relative error observed in each regime.
+    worst_rel:
+        Largest relative error observed.
     relative_errors:
         Per-step relative error of the tracked cost vs the full recompute.
     """
 
     steps: int = 0
-    exact_steps: int = 0
-    bounded_steps: int = 0
-    worst_exact_rel: float = 0.0
-    worst_bounded_rel: float = 0.0
+    worst_rel: float = 0.0
     relative_errors: List[float] = field(default_factory=list)
 
 
@@ -80,8 +63,6 @@ def check_delta_conformance(
     initial: Mapping,
     swaps: Sequence[Tuple[int, int]],
     exact_rel: float = 1e-9,
-    bounded_rel: Optional[float] = None,
-    outcome: Optional[Callable[[], object]] = None,
     label: str = "delta",
 ) -> ConformanceReport:
     """Walk *swaps*, asserting ``cost0 + sum(deltas)`` tracks a full recompute.
@@ -89,78 +70,41 @@ def check_delta_conformance(
     Parameters
     ----------
     cost:
-        Ground-truth full recompute of a mapping's cost.  Must be
-        side-effect free with respect to *delta* (use a separate evaluator or
-        context, not the engine under test).
+        Ground-truth full recompute of a mapping's cost.
     delta:
         The incremental pricer under test: ``delta(mapping, tile_a, tile_b)``
         returns the cost change of ``mapping.swap_tiles(tile_a, tile_b)``.
-        Every priced swap is accepted (the annealing accept-all worst case
-        for state-carrying engines).
+        Every priced swap is accepted (the annealing accept-all worst case).
     initial:
         Starting mapping of the walk.
     swaps:
         Tile-pair sequence to walk (see :func:`random_swaps`).
     exact_rel:
-        Relative bound that applies while the pricer claims exactness —
-        always, for pricers without an *outcome* stream.
-    bounded_rel:
-        Relative bound that applies on drift-tracked steps.  Required when
-        *outcome* is supplied; ignored otherwise.
-    outcome:
-        Optional zero-argument callable returning the pricer's outcome of
-        the *most recent* delta, with boolean attributes ``exact`` and
-        ``resynced`` (duck-typed against
-        :class:`~repro.eval.repair.RepairOutcome`).  A resynced outcome
-        restores the exact regime — the resync guarantee the harness pins —
-        while an inexact outcome drops the walk to the bounded regime.
+        Relative bound every step must meet.
     label:
         Name used in assertion messages.
 
     Returns
     -------
     ConformanceReport
-        Per-regime worst errors and step counts for further assertions.
+        The worst error and per-step errors for further assertions.
     """
-    if outcome is not None and bounded_rel is None:
-        raise ValueError(
-            "bounded_rel is required when an outcome stream is supplied"
-        )
     report = ConformanceReport()
     mapping = initial
     tracked = cost(initial)
-    exact_running = True
     for step, (tile_a, tile_b) in enumerate(swaps):
         tracked += delta(mapping, tile_a, tile_b)
         mapping = mapping.swap_tiles(tile_a, tile_b)
         truth = cost(mapping)
         rel = abs(tracked - truth) / max(abs(truth), _REL_FLOOR)
-        if outcome is not None:
-            step_outcome = outcome()
-            if getattr(step_outcome, "resynced", False):
-                exact_running = True
-            elif not getattr(step_outcome, "exact", True):
-                exact_running = False
         report.steps += 1
         report.relative_errors.append(rel)
-        if exact_running:
-            report.exact_steps += 1
-            if rel > report.worst_exact_rel:
-                report.worst_exact_rel = rel
-            assert rel <= exact_rel, (
-                f"{label}: step {step} swap {(tile_a, tile_b)}: tracked cost "
-                f"{tracked!r} vs full recompute {truth!r} (rel {rel:.3e}) "
-                f"exceeds the exact bound {exact_rel:.3e}"
-            )
-        else:
-            report.bounded_steps += 1
-            if rel > report.worst_bounded_rel:
-                report.worst_bounded_rel = rel
-            assert bounded_rel is not None and rel <= bounded_rel, (
-                f"{label}: step {step} swap {(tile_a, tile_b)}: tracked cost "
-                f"{tracked!r} vs full recompute {truth!r} (rel {rel:.3e}) "
-                f"exceeds the drift bound {bounded_rel:.3e}"
-            )
+        report.worst_rel = max(report.worst_rel, rel)
+        assert rel <= exact_rel, (
+            f"{label}: step {step} swap {(tile_a, tile_b)}: tracked cost "
+            f"{tracked!r} vs full recompute {truth!r} (rel {rel:.3e}) "
+            f"exceeds the bound {exact_rel:.3e}"
+        )
     return report
 
 

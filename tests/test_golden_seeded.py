@@ -16,7 +16,13 @@ Covered:
 * :class:`~repro.codesign.engine.CodesignSearch` under the ``"repair"`` and
   ``"reject"`` certification policies;
 * :func:`~repro.analysis.comparison.compare_models` rows with
-  ``method="exhaustive"`` (CWM and CDCM batch pricing of every permutation).
+  ``method="exhaustive"`` (CWM and CDCM batch pricing of every permutation);
+* seeded :class:`~repro.search.annealing.SimulatedAnnealing` with
+  ``use_delta=True`` on a plain :class:`~repro.eval.context.CdcmEvaluationContext`
+  (a 16x16 mesh with 96 cores and 128 packets, and a 4x4 torus with
+  serialised local links) — every move is priced by a full CDCM replay;
+* :func:`~repro.analysis.comparison.compare_models` annealing rows under a
+  fixed 160-evaluation schedule for three Table 1 entries.
 
 Re-record (only when a result is *meant* to change) with::
 
@@ -41,11 +47,15 @@ from repro.codesign import CodesignParameters, CodesignSearch, LoadAwareCwmConte
 from repro.core.mapping import Mapping  # noqa: E402
 from repro.eval.context import CdcmEvaluationContext  # noqa: E402
 from repro.graphs.convert import cdcg_to_cwg  # noqa: E402
-from repro.noc.platform import Platform  # noqa: E402
-from repro.noc.topology import Mesh  # noqa: E402
+from repro.energy.technology import TECH_0_07UM  # noqa: E402
+from repro.noc.platform import NocParameters, Platform  # noqa: E402
+from repro.noc.routing import XYRouting  # noqa: E402
+from repro.noc.topology import Mesh, Torus  # noqa: E402
+from repro.search.annealing import AnnealingSchedule, SimulatedAnnealing  # noqa: E402
 from repro.search.nsga2 import NSGA2Search, Nsga2Parameters  # noqa: E402
 from repro.search.nsga3 import NSGA3Search, Nsga3Parameters  # noqa: E402
 from repro.workloads.embedded import image_encoder  # noqa: E402
+from repro.workloads.suite import table1_suite  # noqa: E402
 from repro.workloads.tgff import TgffLikeGenerator, TgffSpec  # noqa: E402
 from repro.workloads.paper_example import (  # noqa: E402
     paper_example_cdcg,
@@ -194,6 +204,105 @@ def compare_models_exhaustive():
     return rows
 
 
+def _anneal_summary(result) -> Dict[str, object]:
+    return {
+        "evaluations": result.evaluations,
+        "accepted_moves": result.accepted_moves,
+        "best_cost": repr(result.best_cost),
+        "best_mapping": _mapping(result.best_mapping),
+        "best_metrics": repr(result.best_metrics.values),
+        "history": [[count, repr(cost)] for count, cost in result.history],
+    }
+
+
+def _anneal_cdcm(cdcg, platform, initial, schedule):
+    searcher = SimulatedAnnealing(schedule, use_delta=True)
+    return _anneal_summary(
+        searcher.search(CdcmEvaluationContext(cdcg, platform), initial, rng=99)
+    )
+
+
+def anneal_cdcm_mesh16():
+    spec = TgffSpec(
+        name="repair-16x16",
+        num_cores=96,
+        num_packets=128,
+        total_bits=128 * 4_096,
+        levels=8,
+        computation_scale=16.0,
+    )
+    cdcg = TgffLikeGenerator(SEED).generate(spec)
+    platform = Platform(mesh=Mesh(16, 16))
+    schedule = AnnealingSchedule(max_evaluations=300, moves_per_temperature=128)
+    return _anneal_cdcm(cdcg, platform, _initial(cdcg.cores(), platform), schedule)
+
+
+def anneal_cdcm_torus_serialized():
+    spec = TgffSpec(
+        name="golden-torus",
+        num_cores=12,
+        num_packets=40,
+        total_bits=40 * 1_024,
+        levels=5,
+        computation_scale=0.25,
+    )
+    cdcg = TgffLikeGenerator(SEED).generate(spec)
+    platform = Platform(
+        mesh=Torus(4, 4), parameters=NocParameters(serialize_local_links=True)
+    )
+    schedule = AnnealingSchedule(max_evaluations=400, moves_per_temperature=32)
+    return _anneal_cdcm(cdcg, platform, _initial(cdcg.cores(), platform), schedule)
+
+
+#: The fixed 160-evaluation annealing schedule of the ``paper_table2``
+#: benchmark workload (every search makes exactly 160 evaluations).
+TABLE2_SCHEDULE = AnnealingSchedule(
+    cooling_factor=0.85,
+    moves_per_temperature=8,
+    max_evaluations=160,
+    stall_plateaus=10**9,
+    min_temperature_ratio=1e-300,
+)
+
+
+def compare_models_table2_annealing():
+    rows = []
+    entries = {entry.name: entry for entry in table1_suite(groups=("small",))}
+    for index, name in enumerate(("3x2-a", "3x3-c", "3x4-c")):
+        entry = entries[name]
+        platform = Platform(
+            mesh=entry.mesh,
+            routing=XYRouting(),
+            parameters=NocParameters(),
+            technology=TECH_0_07UM,
+        )
+        comparison = compare_models(
+            entry.build(),
+            platform,
+            ComparisonConfig(annealing_schedule=TABLE2_SCHEDULE),
+            seed=SEED + index,
+        )
+        rows.append(
+            {
+                "entry": name,
+                "cwm_mapping": _mapping(comparison.cwm_mapping),
+                "cdcm_mapping": _mapping(comparison.cdcm_mapping),
+                "cwm_cost": repr(comparison.cwm_outcome.cost),
+                "cdcm_cost": repr(comparison.cdcm_outcome.cost),
+                "evaluations": [
+                    comparison.cwm_outcome.evaluations,
+                    comparison.cdcm_outcome.evaluations,
+                ],
+                "etr": repr(comparison.execution_time_reduction),
+                "ecs": [
+                    [result.technology, repr(result.energy_saving)]
+                    for result in comparison.technology_results
+                ],
+            }
+        )
+    return rows
+
+
 SCENARIOS: Dict[str, Callable[[], object]] = {
     "nsga2_cdcm_energy_time": nsga2_cdcm_energy_time,
     "nsga2_load_aware_cwm": nsga2_load_aware_cwm,
@@ -201,6 +310,9 @@ SCENARIOS: Dict[str, Callable[[], object]] = {
     "codesign_repair": codesign_repair,
     "codesign_reject": codesign_reject,
     "compare_models_exhaustive": compare_models_exhaustive,
+    "anneal_cdcm_mesh16": anneal_cdcm_mesh16,
+    "anneal_cdcm_torus_serialized": anneal_cdcm_torus_serialized,
+    "compare_models_table2_annealing": compare_models_table2_annealing,
 }
 
 

@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import os
 import pickle
+import signal
+import time
 
 import pytest
 
@@ -141,6 +143,40 @@ class TestBackendEquivalence:
         ]
         assert backend._pool is None
         backend.close()
+
+
+class TestPoolSelfHealing:
+    @staticmethod
+    def _kill_one_worker(backend):
+        pool = backend._pool
+        victim = next(iter(pool._processes.values()))
+        os.kill(victim.pid, signal.SIGKILL)
+        victim.join(timeout=10)
+        deadline = time.monotonic() + 10
+        while not pool._broken and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert pool._broken, "the executor never noticed the dead worker"
+
+    def test_killed_worker_does_not_break_later_batches(self, workload):
+        cdcg, _, platform = workload
+        context = CdcmEvaluationContext(cdcg, platform, cache_size=0)
+        mappings = _random_mappings(cdcg_to_cwg(cdcg), 16, 12, offset=300)
+        serial = [repr(context._compute_metrics(m)) for m in mappings]
+        backend = ProcessPoolBackend(n_workers=N_WORKERS, min_batch_size=2)
+        try:
+            first = backend.evaluate_metrics(context, mappings)
+            assert [repr(v) for v in first] == serial
+            self._kill_one_worker(backend)
+            healed = backend.evaluate_metrics(context, mappings)
+            assert [repr(v) for v in healed] == serial
+            assert backend.rebuilds == 1
+            # The replacement pool keeps serving batches and map() tasks.
+            assert [repr(v) for v in backend.evaluate_metrics(context, mappings[::-1])] == serial[::-1]
+            self._kill_one_worker(backend)
+            assert backend.map(pow, [(2, 3), (3, 2)]) == [8, 9]
+            assert backend.rebuilds == 2
+        finally:
+            backend.close()
 
 
 class TestContextPickling:

@@ -224,53 +224,6 @@ def check_topology_sections() -> list:
 
 
 # ----------------------------------------------------------------------
-# Bounded-repair contract coverage
-# ----------------------------------------------------------------------
-def check_repair_sections() -> list:
-    """The bounded-repair contract must stay documented end to end.
-
-    ``repro.eval.repair`` is already swept by the docstring check (it lives
-    under the ``repro.eval`` package); this check pins the prose half: the
-    architecture guide must explain the drift/resync contract under a
-    "bounded repair" heading, and the API guide must document the ``repair``
-    gate and every :class:`~repro.eval.repair.RepairPolicy` knob, so a new
-    knob cannot land undocumented.
-    """
-    import dataclasses
-
-    from repro.eval.repair import RepairPolicy
-
-    problems = []
-    architecture = REPO_ROOT / "docs" / "architecture.md"
-    if not architecture.exists():
-        problems.append("docs/architecture.md: file missing")
-    else:
-        headings = _HEADING_RE.findall(architecture.read_text())
-        if not any("bounded repair" in heading.lower() for heading in headings):
-            problems.append(
-                "docs/architecture.md: no section heading names 'bounded "
-                "repair' (the CDCM incremental-rescheduling contract)"
-            )
-    api = REPO_ROOT / "docs" / "api.md"
-    if not api.exists():
-        problems.append("docs/api.md: file missing")
-    else:
-        text = api.read_text()
-        if "`repair`" not in text:
-            problems.append(
-                "docs/api.md: the `repair` gate of CdcmEvaluationContext is "
-                "undocumented"
-            )
-        for knob in dataclasses.fields(RepairPolicy):
-            if f"`{knob.name}`" not in text:
-                problems.append(
-                    f"docs/api.md: RepairPolicy knob `{knob.name}` is "
-                    f"undocumented"
-                )
-    return problems
-
-
-# ----------------------------------------------------------------------
 # Mapping-service contract coverage
 # ----------------------------------------------------------------------
 def check_service_sections() -> list:
@@ -458,7 +411,6 @@ def main() -> int:
         + check_links()
         + check_engine_sections()
         + check_topology_sections()
-        + check_repair_sections()
         + check_service_sections()
         + check_scenario_sections()
         + check_codesign_sections()
