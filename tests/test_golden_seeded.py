@@ -11,7 +11,11 @@ Covered:
 
 * NSGA-II on ``("energy", "time")`` under CDCM, and on
   ``("dynamic_energy", "max_link_load")`` under
-  :class:`~repro.codesign.load.LoadAwareCwmContext` (CWM batch kernel);
+  :class:`~repro.codesign.load.LoadAwareCwmContext` (CWM batch kernel) —
+  once on a 4x4 mesh and once in the ``front_nsga2_load`` benchmark job
+  shape (8x8 mesh, 48 cores, population 64), with its front hypervolume;
+* :class:`~repro.search.genetic.GeneticSearch` on a
+  :class:`~repro.eval.context.CwmEvaluationContext`;
 * NSGA-III on three keys under CDCM;
 * :class:`~repro.codesign.engine.CodesignSearch` under the ``"repair"`` and
   ``"reject"`` certification policies;
@@ -43,15 +47,17 @@ if str(_SRC) not in sys.path:
     sys.path.insert(0, str(_SRC))
 
 from repro.analysis.comparison import ComparisonConfig, compare_models  # noqa: E402
+from repro.analysis.pareto import hypervolume  # noqa: E402
 from repro.codesign import CodesignParameters, CodesignSearch, LoadAwareCwmContext  # noqa: E402
 from repro.core.mapping import Mapping  # noqa: E402
-from repro.eval.context import CdcmEvaluationContext  # noqa: E402
+from repro.eval.context import CdcmEvaluationContext, CwmEvaluationContext  # noqa: E402
 from repro.graphs.convert import cdcg_to_cwg  # noqa: E402
 from repro.energy.technology import TECH_0_07UM  # noqa: E402
 from repro.noc.platform import NocParameters, Platform  # noqa: E402
 from repro.noc.routing import XYRouting  # noqa: E402
 from repro.noc.topology import Mesh, Torus  # noqa: E402
 from repro.search.annealing import AnnealingSchedule, SimulatedAnnealing  # noqa: E402
+from repro.search.genetic import GeneticParameters, GeneticSearch  # noqa: E402
 from repro.search.nsga2 import NSGA2Search, Nsga2Parameters  # noqa: E402
 from repro.search.nsga3 import NSGA3Search, Nsga3Parameters  # noqa: E402
 from repro.workloads.embedded import image_encoder  # noqa: E402
@@ -140,6 +146,46 @@ def nsga2_load_aware_cwm():
     return _search_summary(result)
 
 
+def nsga2_load_aware_mesh8():
+    """The ``front_nsga2_load`` benchmark job shape, pinned with its hypervolume."""
+    spec = TgffSpec(
+        name="front48",
+        num_cores=48,
+        num_packets=120,
+        total_bits=120 * 4096,
+        computation_scale=0.5,
+    )
+    cwg = cdcg_to_cwg(TgffLikeGenerator(SEED).generate(spec))
+    platform = Platform(mesh=Mesh(8, 8))
+    keys = ("dynamic_energy", "max_link_load")
+    context = LoadAwareCwmContext(cwg, platform)
+    pool = [Mapping.random(cwg.cores, platform.num_tiles, rng=i) for i in range(32)]
+    reference = {
+        key: max(vector[key] for vector in context.evaluate_metrics_batch(pool))
+        for key in keys
+    }
+    result = NSGA2Search(
+        Nsga2Parameters(population_size=64, generations=6), keys=keys
+    ).search(context, _initial(cwg.cores, platform), rng=SEED)
+    return {
+        "evaluations": result.evaluations,
+        "accepted_moves": result.accepted_moves,
+        "best_cost": repr(result.best_cost),
+        "history": [[count, repr(cost)] for count, cost in result.history],
+        "front": [repr(point.metrics.values) for point in result.front],
+        "hypervolume": repr(hypervolume(result.front, reference=reference, keys=keys)),
+    }
+
+
+def genetic_cwm():
+    cdcg, platform = _tgff()
+    cwg = cdcg_to_cwg(cdcg)
+    result = GeneticSearch(GeneticParameters(population_size=16, generations=8)).search(
+        CwmEvaluationContext(cwg, platform), _initial(cwg.cores, platform), rng=SEED
+    )
+    return _scalar_summary(result)
+
+
 def nsga3_three_keys():
     cdcg, platform = _encoder()
     engine = NSGA3Search(
@@ -204,7 +250,7 @@ def compare_models_exhaustive():
     return rows
 
 
-def _anneal_summary(result) -> Dict[str, object]:
+def _scalar_summary(result) -> Dict[str, object]:
     return {
         "evaluations": result.evaluations,
         "accepted_moves": result.accepted_moves,
@@ -217,7 +263,7 @@ def _anneal_summary(result) -> Dict[str, object]:
 
 def _anneal_cdcm(cdcg, platform, initial, schedule):
     searcher = SimulatedAnnealing(schedule, use_delta=True)
-    return _anneal_summary(
+    return _scalar_summary(
         searcher.search(CdcmEvaluationContext(cdcg, platform), initial, rng=99)
     )
 
@@ -306,6 +352,8 @@ def compare_models_table2_annealing():
 SCENARIOS: Dict[str, Callable[[], object]] = {
     "nsga2_cdcm_energy_time": nsga2_cdcm_energy_time,
     "nsga2_load_aware_cwm": nsga2_load_aware_cwm,
+    "nsga2_load_aware_mesh8": nsga2_load_aware_mesh8,
+    "genetic_cwm": genetic_cwm,
     "nsga3_three_keys": nsga3_three_keys,
     "codesign_repair": codesign_repair,
     "codesign_reject": codesign_reject,
