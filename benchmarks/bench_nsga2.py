@@ -11,6 +11,12 @@ image-encoder workload (4x3 mesh, CDCM pricing):
   ``BENCH_nsga2.json`` with the hypervolume ratio when
   ``REPRO_BENCH_RECORD=1`` so the trajectory tracks both.
 
+A second case times the load-aware front of the ``front_nsga2_load``
+benchmark workload (NSGA-II over ``dynamic_energy`` x ``max_link_load`` on
+an 8x8 mesh, 48 cores, population 64, CWM pricing): its evaluations/second
+and how the loop's time splits between the non-dominated sort, brood
+pricing and the rest (tournaments, variation and survivor selection).
+
 Deterministic: every stochastic input is seeded with ``BENCH_SEED``.
 """
 
@@ -22,12 +28,17 @@ import pytest
 
 from conftest import BENCH_SEED, emit, record_sample
 from repro.analysis.pareto import hypervolume, weight_sweep_front
+from repro.codesign.load import LoadAwareCwmContext
 from repro.core.mapping import Mapping
 from repro.eval.context import CdcmEvaluationContext
+from repro.eval.route_table import get_route_table
+from repro.graphs.convert import cdcg_to_cwg
 from repro.noc.platform import Platform
 from repro.noc.topology import Mesh
+from repro.search import population
 from repro.search.nsga2 import NSGA2Search, Nsga2Parameters
 from repro.workloads.embedded import image_encoder
+from repro.workloads.tgff import TgffLikeGenerator, TgffSpec
 
 FRONT_KEYS = ("dynamic_energy", "time")
 PARAMS = Nsga2Parameters(population_size=24, generations=16)
@@ -103,3 +114,96 @@ def test_nsga2_front_quality_and_throughput(benchmark):
         for b in result.front:
             assert a is b or not a.metrics.dominates(b.metrics, FRONT_KEYS)
     assert nsga2_hv >= sweep_hv
+
+
+LOAD_KEYS = ("dynamic_energy", "max_link_load")
+LOAD_PARAMS = Nsga2Parameters(population_size=64, generations=6)
+LOAD_SEARCHES = 20
+
+
+@pytest.mark.benchmark(group="nsga2-front")
+def test_nsga2_load_aware_throughput_split(benchmark, monkeypatch):
+    spec = TgffSpec(
+        name="front48",
+        num_cores=48,
+        num_packets=120,
+        total_bits=120 * 4096,
+        computation_scale=0.5,
+    )
+    cwg = cdcg_to_cwg(TgffLikeGenerator(BENCH_SEED).generate(spec))
+    platform = Platform(mesh=Mesh(8, 8))
+    # The shared route table and its link incidence are built once, untimed.
+    get_route_table(platform).link_incidence()
+
+    # Time the sort and the brood pricing where the loop calls them.
+    spent = {"sort": 0.0, "pricing": 0.0}
+
+    def timed(name, function):
+        def wrapper(*args, **kwargs):
+            start = time.perf_counter()
+            try:
+                return function(*args, **kwargs)
+            finally:
+                spent[name] += time.perf_counter() - start
+
+        return wrapper
+
+    monkeypatch.setattr(
+        population,
+        "fast_non_dominated_sort",
+        timed("sort", population.fast_non_dominated_sort),
+    )
+    monkeypatch.setattr(
+        population.MappingGenome,
+        "price",
+        timed("pricing", population.MappingGenome.price),
+    )
+
+    def run():
+        results = []
+        start = time.perf_counter()
+        for index in range(LOAD_SEARCHES):
+            context = LoadAwareCwmContext(cwg, platform)
+            initial = Mapping.random(cwg.cores, platform.num_tiles, rng=index)
+            results.append(
+                NSGA2Search(LOAD_PARAMS, keys=LOAD_KEYS).search(
+                    context, initial, rng=BENCH_SEED + index
+                )
+            )
+        return results, time.perf_counter() - start
+
+    results, elapsed = benchmark.pedantic(run, rounds=1, iterations=1)
+
+    evaluations = sum(result.evaluations for result in results)
+    rate = evaluations / elapsed
+    split = {
+        "sort_s": spent["sort"],
+        "pricing_s": spent["pricing"],
+        "breed_s": elapsed - spent["sort"] - spent["pricing"],
+    }
+    emit(
+        "NSGA-II - load-aware front throughput (8x8 mesh, 48 cores, pop 64)",
+        "\n".join(
+            [
+                f"{LOAD_SEARCHES} searches, {evaluations} evaluations in "
+                f"{elapsed:.2f}s ({rate:,.0f} evals/s)",
+                "split: "
+                + ", ".join(
+                    f"{name} {seconds * 1e3:.1f} ms ({seconds / elapsed:.0%})"
+                    for name, seconds in split.items()
+                ),
+            ]
+        ),
+    )
+    record_sample(
+        "BENCH_nsga2.json",
+        {"bench": "nsga2_load_aware", "evals_per_s": rate, **split},
+    )
+
+    # Every front is clean and re-prices exactly on a fresh context.
+    fresh = LoadAwareCwmContext(cwg, platform, cache_size=0)
+    for result in results:
+        for a in result.front:
+            assert fresh.metrics(a.mapping) == a.metrics
+            for b in result.front:
+                assert a is b or not a.metrics.dominates(b.metrics, LOAD_KEYS)

@@ -26,11 +26,22 @@ touching their values) and every
 :class:`~repro.analysis.comparison.ComparisonConfig` reproduction row stays
 bit-identical — the same append-only contract that lets
 ``max_link_utilisation`` join :data:`~repro.core.metrics.CDCM_METRIC_NAMES`.
+
+The context prices both components on arrays.  A ``(pop, cores)`` tile array
+becomes one route-table pair index per (candidate, edge); the pairs expand
+through :meth:`~repro.eval.route_table.RouteTable.link_incidence`, a CSR of
+every pair's link ids built once per route table, and one weighted
+``np.bincount`` sums the bits of every (candidate, link).  This is exact:
+each term is a whole bit count and no sum reaches ``2**53``, so the vectors
+equal, ``repr`` for ``repr``, those built from the three public helpers
+above, which stay the reference.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Sequence, Tuple, Union
+
+import numpy as np
 
 from repro.graphs.cwg import CWG
 from repro.core.mapping import Mapping
@@ -40,6 +51,10 @@ from repro.eval.route_table import RouteTable
 
 #: Directed mesh link, as produced by ``RouteTable.links``.
 Link = Tuple[int, int]
+
+#: Expanded route entries the link-load kernel prices per candidate block:
+#: bounds its temporaries whatever the batch size.
+_BLOCK_ENTRIES = 1 << 15
 
 #: Metric components of :class:`LoadAwareCwmContext` — the CWM vector with
 #: the two congestion components appended (append-only: legacy weight views
@@ -98,10 +113,10 @@ class LoadAwareCwmContext(CwmEvaluationContext):
     The vector is ``("dynamic_energy", "max_link_load", "link_load_spread")``
     — see :data:`LOAD_METRIC_NAMES`.  The energy component is produced by the
     parent's machinery unmodified (scalar loop per candidate, array kernel
-    per batch — the chunk path delegates to
-    :class:`~repro.eval.context.CwmEvaluationContext`, so kernel-priced
-    energies stay bit-identical to the scalar loop); the two congestion
-    components are accumulated from the same shared route table.
+    per batch, so kernel-priced energies stay bit-identical to the scalar
+    loop); the two congestion components come from the link-load kernel,
+    which prices a batch and a single candidate alike, over the same shared
+    route table.
 
     The constructor signature, default ``weights`` (``{"dynamic_energy":
     1.0}``) and picklable-light ``__getstate__``/``__setstate__`` are all
@@ -121,47 +136,72 @@ class LoadAwareCwmContext(CwmEvaluationContext):
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
         self.name = f"cwm+load({self.cwg.name})"
-        self._num_links = len(self.platform.mesh.links())
 
-    def _load_components(
-        self, tiles: Dict[str, int]
-    ) -> Tuple[float, float]:
-        loads: Dict[Link, float] = {}
-        table_links = self.route_table.links
-        for source, target, bits in self._edges:
-            source_tile = tiles[source]
-            target_tile = tiles[target]
-            if source_tile == target_tile:
-                continue
-            for link in table_links(source_tile, target_tile):
-                loads[link] = loads.get(link, 0.0) + bits
-        peak = max_link_load(loads)
-        return peak, link_load_spread(loads, self._num_links)
+    def _link_load_components(
+        self, rows: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """``max_link_load`` and ``link_load_spread`` of every tile row.
+
+        Each (candidate, edge) pair index expands through the route table's
+        :meth:`~repro.eval.route_table.RouteTable.link_incidence` into the
+        link ids of its route, and one ``np.bincount`` weighted by bits sums
+        the load of every (candidate, link).  Exact: every term is a whole
+        bit count and every sum stays below ``2**53``, so the summation order
+        cannot move a value.  Candidates are priced in blocks of about
+        :data:`_BLOCK_ENTRIES` expanded route entries.
+        """
+        ptr, link_ids, num_links = self.route_table.link_incidence()
+        pop = len(rows)
+        peaks = np.zeros(pop)
+        totals = np.zeros(pop)
+        if num_links == 0:  # a one-tile fabric routes nothing
+            return peaks, totals
+        kernel = self.vector_kernel()
+        pairs = kernel.pair_indices(rows)
+        starts = ptr[pairs]
+        lengths = ptr[pairs + 1] - starts
+        entries = lengths.sum(axis=1)
+        step = max(1, _BLOCK_ENTRIES // max(1, int(entries.max(initial=0))))
+        for begin in range(0, pop, step):
+            end = min(begin + step, pop)
+            block_lengths = lengths[begin:end].ravel()
+            # An entry's place in link_ids: its route's start plus its rank
+            # inside the route.
+            firsts = np.cumsum(block_lengths) - block_lengths
+            index = np.arange(int(block_lengths.sum())) + np.repeat(
+                starts[begin:end].ravel() - firsts, block_lengths
+            )
+            owner = np.repeat(np.arange(end - begin) * num_links, entries[begin:end])
+            weights = np.repeat(np.tile(kernel.bits, end - begin), block_lengths)
+            loads = np.bincount(
+                link_ids[index] + owner,
+                weights=weights,
+                minlength=(end - begin) * num_links,
+            ).reshape(end - begin, num_links)
+            peaks[begin:end] = loads.max(axis=1)
+            totals[begin:end] = loads.sum(axis=1)
+        return peaks, peaks - totals / num_links
 
     def _compute_metrics(
         self, mapping: Union[Mapping, Dict[str, int]]
     ) -> MetricVector:
         energy = super()._compute_metrics(mapping)["dynamic_energy"]
-        peak, spread = self._load_components(self._tile_assignments(mapping))
+        (peak,), (spread,) = self._link_load_components(self._rows([mapping]))
         return MetricVector(LOAD_METRIC_NAMES, (energy, peak, spread))
 
     def _compute_metrics_chunk(
         self, mappings: Sequence[Union[Mapping, Dict[str, int]]]
     ) -> List[MetricVector]:
         items = list(mappings)
-        energies = super()._compute_metrics_chunk(items)
-        out: List[MetricVector] = []
-        for mapping, vector in zip(items, energies):
-            peak, spread = self._load_components(
-                self._tile_assignments(mapping)
-            )
-            out.append(
-                MetricVector(
-                    LOAD_METRIC_NAMES,
-                    (vector["dynamic_energy"], peak, spread),
-                )
-            )
-        return out
+        if not items:
+            return []
+        rows = self._rows(items)
+        energies = self.vector_kernel().price(rows)
+        peaks, spreads = self._link_load_components(rows)
+        return [
+            MetricVector(LOAD_METRIC_NAMES, values)
+            for values in zip(energies, peaks, spreads)
+        ]
 
     def metric_delta(
         self, mapping: Mapping, tile_a: int, tile_b: int

@@ -590,24 +590,19 @@ class CwmEvaluationContext(EvaluationContext):
             self._kernel = kernel
         return kernel
 
-    def _compute_metrics_chunk(
+    def _rows(
         self, mappings: Sequence[Union[Mapping, Dict[str, int]]]
-    ) -> List[MetricVector]:
-        """Chunk pricing: one kernel gather per chunk.
+    ) -> np.ndarray:
+        """Candidates as a ``(pop, cores)`` tile array in the kernel's order.
 
         Candidates are validated exactly like the scalar path (same
-        :class:`~repro.utils.errors.MappingError` conditions), stacked into a
-        ``(pop, cores)`` array and priced by :meth:`vector_kernel` in one
-        call.
+        :class:`~repro.utils.errors.MappingError` conditions).
         """
-        items = list(mappings)
-        if not items:
-            return []
         kernel = self.vector_kernel()
         order = kernel.core_order
         required = kernel.required_cores
-        rows = np.zeros((len(items), len(order)), dtype=np.int64)
-        for row, mapping in enumerate(items):
+        rows = np.zeros((len(mappings), len(order)), dtype=np.int64)
+        for row, mapping in enumerate(mappings):
             tiles = self._tile_assignments(mapping)
             try:
                 rows[row] = [tiles[core] for core in order]
@@ -624,9 +619,18 @@ class CwmEvaluationContext(EvaluationContext):
                             )
                         continue
                     rows[row, column] = tile
+        return rows
+
+    def _compute_metrics_chunk(
+        self, mappings: Sequence[Union[Mapping, Dict[str, int]]]
+    ) -> List[MetricVector]:
+        """Chunk pricing: the chunk's :meth:`_rows` priced in one kernel call."""
+        items = list(mappings)
+        if not items:
+            return []
         return [
             MetricVector(CWM_METRIC_NAMES, (total,))
-            for total in kernel.price(rows)
+            for total in self.vector_kernel().price(self._rows(items))
         ]
 
     def delta(self, mapping: Mapping, tile_a: int, tile_b: int) -> float:

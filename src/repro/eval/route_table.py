@@ -31,6 +31,10 @@ from, exposed as ``(n, n)`` matrices through :meth:`RouteTable.as_arrays`.
 Lazy tables can densify those two halves on demand with
 :meth:`RouteTable.warm_dense`, which reuses — not re-derives — every pair
 already in the per-pair memo.
+
+The link lists of every pair are also available as one CSR array over link
+ids (:meth:`RouteTable.link_incidence`), built on first use and kept with the
+table, for kernels that push a whole population's traffic onto links at once.
 """
 
 from __future__ import annotations
@@ -94,6 +98,7 @@ class RouteTable:
         "_energy",
         "_dense_hops",
         "_dense_energy",
+        "_incidence",
     )
 
     def __init__(
@@ -113,6 +118,7 @@ class RouteTable:
         self._eager = pairs <= _EAGER_PAIR_LIMIT if precompute is None else precompute
         self._dense_hops: Optional[np.ndarray] = None
         self._dense_energy: Optional[np.ndarray] = None
+        self._incidence: Optional[Tuple[np.ndarray, np.ndarray, int]] = None
         if self._eager:
             paths: List[Tuple[int, ...]] = []
             links: List[Tuple[Tuple[int, int], ...]] = []
@@ -218,6 +224,7 @@ class RouteTable:
         instance._energy = _freeze(np.array(energy, dtype=np.float64))
         instance._dense_hops = None
         instance._dense_energy = None
+        instance._incidence = None
         return instance
 
     @property
@@ -370,6 +377,66 @@ class RouteTable:
             self._dense_energy = _freeze(energy)
             self._dense_hops = _freeze(hops)
         return self.as_arrays()
+
+    def link_incidence(self) -> Tuple[np.ndarray, np.ndarray, int]:
+        """Every pair's route links as one CSR array over directed link ids.
+
+        The links of pair ``index = source * num_tiles + target`` are
+        ``link_ids[ptr[index]:ptr[index + 1]]``, in route order; a link's id
+        is its position in ``topology.links()``, of which there are
+        ``num_links``.  A pair whose tiles coincide crosses no link.  This is
+        what the link-load kernel of
+        :class:`~repro.codesign.load.LoadAwareCwmContext` expands candidate
+        routes through.
+
+        Built on the first call and kept for the table's lifetime.  A lazy
+        table builds it over all pairs too (as :meth:`warm_dense` does),
+        reusing memoised routes but memoising none, so it costs about
+        ``8 * n**2`` bytes of offsets plus 4 bytes per route link.
+
+        Returns
+        -------
+        (ptr, link_ids, num_links):
+            Read-only ``int64`` offsets of length ``num_tiles ** 2 + 1``,
+            read-only ``int32`` link ids, and the topology's link count.
+        """
+        if self._incidence is None:
+            n = self.num_tiles
+            number = {link: index for index, link in enumerate(self.mesh.links())}
+            lengths = np.zeros(n * n, dtype=np.int64)
+            ids: List[int] = []
+            index = 0
+            for source in range(n):
+                for target in range(n):
+                    if source != target:
+                        links = self._route_links(index, source, target)
+                        try:
+                            ids.extend(number[link] for link in links)
+                        except KeyError as exc:
+                            raise ConfigurationError(
+                                f"route {source} -> {target} crosses {exc.args[0]}, "
+                                f"which is not a link of {self.mesh}"
+                            ) from None
+                        lengths[index] = len(links)
+                    index += 1
+            ptr = np.zeros(n * n + 1, dtype=np.int64)
+            np.cumsum(lengths, out=ptr[1:])
+            self._incidence = (
+                _freeze(ptr),
+                _freeze(np.array(ids, dtype=np.int32)),
+                len(number),
+            )
+        return self._incidence
+
+    def _route_links(
+        self, index: int, source: int, target: int
+    ) -> Tuple[Tuple[int, int], ...]:
+        """Links of one pair, from the table when present, else routed afresh."""
+        links = self._links[index] if self._eager else self._links.get(index)
+        if links is None:
+            path = tuple(self.routing.route(self.mesh, source, target))
+            links = tuple(zip(path, path[1:]))
+        return links
 
     def __repr__(self) -> str:
         mode = "precomputed" if self._eager else "lazy"

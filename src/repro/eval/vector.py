@@ -215,6 +215,7 @@ class VectorizedCwmKernel:
                     f"edge core {exc.args[0]!r} missing from core_order"
                 ) from exc
             bits[index] = volume
+        bits.setflags(write=False)
         self._src_idx = src
         self._tgt_idx = tgt
         self._bits = bits
@@ -298,6 +299,11 @@ class VectorizedCwmKernel:
         return int(self._src_idx.size)
 
     @property
+    def bits(self) -> np.ndarray:
+        """Read-only float64 bit volume of every edge, in accumulation order."""
+        return self._bits
+
+    @property
     def required_cores(self) -> frozenset:
         """Cores referenced by at least one edge.
 
@@ -363,6 +369,28 @@ class VectorizedCwmKernel:
             np.add.accumulate(contrib, axis=1, out=contrib)
             out[start : start + block] = contrib[:, -1]
         return out
+
+    def pair_indices(self, tiles: np.ndarray) -> np.ndarray:
+        """Route-table pair index of every (candidate, edge).
+
+        ``out[r, e]`` is ``source_tile * num_tiles + target_tile`` of edge
+        *e* under row *r*: the row-major index of the route table's flat
+        per-pair arrays and of
+        :meth:`~repro.eval.route_table.RouteTable.link_incidence`.
+
+        Parameters
+        ----------
+        tiles:
+            ``(pop, cores)`` integer array in :attr:`core_order` column
+            order.
+
+        Returns
+        -------
+        numpy.ndarray
+            ``(pop, num_edges)`` int64 pair indices.
+        """
+        array = self._validate(tiles)
+        return array[:, self._src_idx] * self.num_tiles + array[:, self._tgt_idx]
 
     def hop_volume(self, tiles: np.ndarray) -> np.ndarray:
         """Bits-times-hops volume of every candidate row.

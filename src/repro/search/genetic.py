@@ -32,7 +32,7 @@ mapping whichever way its candidates are priced.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.mapping import Mapping
 from repro.search.base import (
@@ -44,7 +44,7 @@ from repro.search.base import (
     batch_callable,
     objective_metrics,
 )
-from repro.utils.errors import ConfigurationError
+from repro.utils.errors import ConfigurationError, MappingError
 from repro.utils.rng import RandomSource, ensure_rng
 
 
@@ -61,32 +61,46 @@ def uniform_assignment_crossover(
     preferring a uniformly chosen parent but falling back to the other when
     the preferred tile is already taken; cores whose tiles are both taken
     are placed on shuffled leftover tiles in a final repair pass.  The RNG
-    is consumed once per core plus one shuffle, so seeded runs are
-    reproducible.
+    is consumed by one ``random(len(cores))`` draw plus one shuffle, so
+    seeded runs are reproducible.  A parent that does not place one of
+    *cores* raises :class:`~repro.utils.errors.MappingError`.
 
     Shared by :class:`GeneticSearch` and
     :class:`~repro.search.nsga2.NSGA2Search` — the scalar GA and the
     population-front engine explore the same move space with the same
     operators.
     """
-    child: dict[str, int] = {}
-    used: set[int] = set()
     order = list(cores)
-    for core in order:
-        choices = [parent_a.tile_of(core), parent_b.tile_of(core)]
-        if rng.random() < 0.5:
-            choices.reverse()
-        tile = next((t for t in choices if t not in used), None)
-        if tile is None:
+    tiles_a = parent_a._core_to_tile
+    tiles_b = parent_b._core_to_tile
+    # One draw of all the coins: the same stream as one scalar draw per core.
+    coins = rng.random(len(order)).tolist()
+    child: Dict[str, int] = {}
+    owner: Dict[int, str] = {}
+    for core, coin in zip(order, coins):
+        try:
+            first, second = tiles_a[core], tiles_b[core]
+        except KeyError as exc:
+            raise MappingError(f"core {exc.args[0]!r} is not mapped") from exc
+        if coin < 0.5:
+            first, second = second, first
+        if first not in owner:
+            tile = first
+        elif second not in owner:
+            tile = second
+        else:
             continue  # resolved in the repair pass below
         child[core] = tile
-        used.add(tile)
-    free = [t for t in range(num_tiles) if t not in used]
+        owner[tile] = core
+    free = [t for t in range(num_tiles) if t not in owner]
     rng.shuffle(free)
     for core in order:
         if core not in child:
-            child[core] = free.pop()
-    return Mapping(child, num_tiles=num_tiles)
+            tile = free.pop()
+            child[core] = tile
+            owner[tile] = core
+    # Injective by construction: every tile is taken at most once.
+    return Mapping._from_trusted(child, owner, num_tiles)
 
 
 def swap_mutation(mapping: Mapping, num_tiles: int, rng) -> Mapping:

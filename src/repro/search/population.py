@@ -28,6 +28,8 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass, fields, replace
 from typing import Any, Callable, List, Optional, Sequence, Tuple, Type
 
+import numpy as np
+
 from repro.core.mapping import Mapping
 from repro.core.metrics import MetricVector
 from repro.search.base import (
@@ -105,6 +107,16 @@ def fast_non_dominated_sort(
 ) -> List[List[int]]:
     """Deb's fast non-dominated sort: indices grouped into Pareto ranks.
 
+    Runs on one ``(n, n)`` dominance matrix instead of ``n**2`` Python
+    :meth:`~repro.core.metrics.MetricVector.dominates` calls, with the same
+    result to the index: ``dom[p, q]`` is "no key of *p* greater, some key
+    smaller", so a NaN component neither blocks nor grants dominance, exactly
+    as in ``dominates``.  Fronts are peeled by dominator counts in Deb's
+    order: the first front ascending, every later front by the position (in
+    the previous front) of each index's last dominator, then by index.
+    Survivor selection and tournaments read that order, so seeded runs
+    depend on it.
+
     Parameters
     ----------
     vectors:
@@ -117,30 +129,46 @@ def fast_non_dominated_sort(
     list of list of int
         ``fronts[0]`` is the non-dominated set, ``fronts[1]`` the set
         dominated only by rank 0, and so on.  Every index appears exactly
-        once; order within a front is deterministic for a given input order.
+        once (unless NaN components make dominance cyclic: indices on or
+        below a cycle appear in no front); order within a front is
+        deterministic for a given input order.
+
+    Raises
+    ------
+    KeyError
+        When the vectors lack a key (the error ``MetricVector`` raises).
     """
     keys = tuple(keys)
     n = len(vectors)
-    dominated: List[List[int]] = [[] for _ in range(n)]
-    counts = [0] * n
-    for p in range(n):
-        for q in range(p + 1, n):
-            if vectors[p].dominates(vectors[q], keys):
-                dominated[p].append(q)
-                counts[q] += 1
-            elif vectors[q].dominates(vectors[p], keys):
-                dominated[q].append(p)
-                counts[p] += 1
-    fronts: List[List[int]] = [[p for p in range(n) if counts[p] == 0]]
-    while fronts[-1]:
-        next_front: List[int] = []
-        for p in fronts[-1]:
-            for q in dominated[p]:
-                counts[q] -= 1
-                if counts[q] == 0:
-                    next_front.append(q)
-        fronts.append(next_front)
-    fronts.pop()  # the loop always appends one trailing empty front
+    if n < 2:  # nothing to compare (and no key to look up)
+        return [list(range(n))] if n else []
+    names = vectors[0].names
+    if all(vector.names == names for vector in vectors):
+        for key in keys:
+            vectors[0][key]  # a missing key raises MetricVector's KeyError
+        values = np.array([vector.values for vector in vectors], dtype=np.float64)
+        values = values[:, [names.index(key) for key in keys]]
+    else:
+        values = np.array(
+            [[vector[key] for key in keys] for vector in vectors], dtype=np.float64
+        )
+    worse = np.zeros((n, n), dtype=bool)
+    better = np.zeros((n, n), dtype=bool)
+    for column in values.T:
+        worse |= column[:, None] > column[None, :]
+        better |= column[:, None] < column[None, :]
+    dominates = better & ~worse  # dominates[p, q]: p dominates q
+
+    counts = dominates.sum(axis=0)
+    front = np.flatnonzero(counts == 0)
+    fronts: List[List[int]] = []
+    while front.size:
+        fronts.append(front.tolist())
+        rows = dominates[front]
+        counts -= rows.sum(axis=0)
+        newly = np.flatnonzero((counts == 0) & rows.any(axis=0))
+        last = len(front) - 1 - np.argmax(rows[::-1, newly], axis=0)
+        front = newly[np.lexsort((newly, last))]
     return fronts
 
 
