@@ -11,10 +11,15 @@ three 64-tile platforms:
 * **irregular/table** — an 8x8 mesh augmented with deterministic express
   links (an `IrregularTopology`), the fabric only table routing can serve.
 
-For each platform it measures the eager route-table build time and the CWM
+For each platform it measures the route-table build time and the CWM
 pricing rate (evaluations/second over the Table 1 ``8x8`` workload), and —
 with ``REPRO_BENCH_RECORD=1`` — appends one sample per platform to
 ``BENCH_routing.json`` so the CI trajectory tracks the topology seam.
+
+A second bench times the build on the 16x16 mesh/XY fabric of the
+``service_mixed`` perfbench workload against a reference that walks
+``route()`` once per pair.  It asserts identical tables and a build at least
+10x faster, and records both times in ``BENCH_routing.json``.
 
 Deterministic: the candidate mappings are seeded with ``BENCH_SEED``.
 """
@@ -23,10 +28,12 @@ from __future__ import annotations
 
 import time
 
+import numpy as np
 import pytest
 
 from conftest import BENCH_SEED, emit, record_sample
 from repro.core.mapping import Mapping
+from repro.energy.bit_energy import bit_energy_route
 from repro.eval.context import CwmEvaluationContext
 from repro.eval.route_table import RouteTable, clear_route_table_cache
 from repro.graphs.convert import cdcg_to_cwg
@@ -38,6 +45,9 @@ from repro.workloads.suite import suite_entry_by_name
 
 #: Candidate mappings priced per platform for the evals/s figure.
 NUM_CANDIDATES = 600
+
+#: How much faster the next-hop build must be than the per-pair route() walk.
+MIN_BUILD_SPEEDUP = 10.0
 
 
 def _express_mesh_fabric(width: int, height: int) -> IrregularTopology:
@@ -93,7 +103,7 @@ def test_route_table_builds_and_pricing_across_topologies(benchmark):
         for label, platform in platforms.items():
             clear_route_table_cache()
             start = time.perf_counter()
-            table_obj = RouteTable.for_platform(platform, precompute=True)
+            table_obj = RouteTable.for_platform(platform)
             build_seconds = time.perf_counter() - start
 
             context = CwmEvaluationContext(
@@ -138,9 +148,72 @@ def test_route_table_builds_and_pricing_across_topologies(benchmark):
         },
     )
 
-    # Acceptance bars: every topology builds eagerly and prices through the
+    # Acceptance bars: every topology builds its table and prices through the
     # same O(1) lookups — table-backed pricing must stay within 2x of the
     # mesh/xy rate (generous: shared-runner noise, identical inner loop).
     mesh_rate = results["mesh/xy"]["evals_per_s"]
     for label, stats in results.items():
         assert stats["evals_per_s"] > mesh_rate / 2.0, (label, stats)
+
+
+def _route_walk_table(platform: Platform):
+    """The reference build: ``route()`` once per pair, in Python.
+
+    Returns the row-major hops, the ``repr`` of every bit energy, the CSR
+    ``(ptr, link ids)`` over ``topology.links()`` and every path.
+    """
+    mesh, routing, technology = platform.mesh, platform.routing, platform.technology
+    number = {link: index for index, link in enumerate(mesh.links())}
+    hops, energy, ptr, ids, paths = [], [], [0], [], []
+    for source in mesh.tiles():
+        for target in mesh.tiles():
+            path = tuple(routing.route(mesh, source, target))
+            paths.append(path)
+            hops.append(len(path))
+            energy.append(repr(bit_energy_route(technology, len(path), True)))
+            ids.extend(number[link] for link in zip(path, path[1:]))
+            ptr.append(len(ids))
+    return hops, energy, ptr, ids, paths
+
+
+@pytest.mark.benchmark(group="routing-tables")
+def test_16x16_build_beats_route_walk(benchmark):
+    platform = Platform(mesh=Mesh(16, 16), routing=XYRouting())
+
+    def run():
+        start = time.perf_counter()
+        reference = _route_walk_table(platform)
+        walk_seconds = time.perf_counter() - start
+        start = time.perf_counter()
+        table = RouteTable.for_platform(platform)
+        build_seconds = time.perf_counter() - start
+        return reference, walk_seconds, table, build_seconds
+
+    reference, walk_seconds, table, build_seconds = benchmark.pedantic(
+        run, rounds=1, iterations=1
+    )
+
+    hops, energy, ptr, ids, paths = reference
+    flat_energy, flat_hops = (array.ravel() for array in table.as_arrays())
+    table_ptr, table_ids, _ = table.link_incidence()
+    n = platform.num_tiles
+    assert flat_hops.tolist() == hops
+    assert [repr(value) for value in flat_energy.tolist()] == energy
+    assert np.array_equal(table_ptr, ptr) and np.array_equal(table_ids, ids)
+    assert [table.path(s, t) for s in range(n) for t in range(n)] == paths
+
+    speedup = walk_seconds / build_seconds
+    emit(
+        "Routing - 16x16 mesh/xy table build (service_mixed fabric)",
+        f"route() walk {walk_seconds * 1e3:>7.1f} ms   next-hop build "
+        f"{build_seconds * 1e3:>6.1f} ms   speedup {speedup:.1f}x",
+    )
+    record_sample(
+        "BENCH_routing.json",
+        {
+            "bench": "routing_build_16x16",
+            "mesh16_xy_build_ms": build_seconds * 1e3,
+            "mesh16_xy_route_walk_ms": walk_seconds * 1e3,
+        },
+    )
+    assert speedup >= MIN_BUILD_SPEEDUP, speedup

@@ -4,10 +4,10 @@
 This example demonstrates the parallel half of the evaluation engine
 (`repro.eval.parallel`) end to end on a large NoC:
 
-1. **sharded warm-up** — a 16x16 torus sits exactly at the eager/lazy route
-   table threshold; `warm_route_table` forces the eager build and shards it
-   by source row across the pool, then registers the result process-wide so
-   every later evaluation (and every forked worker) reuses it;
+1. **route table** — `get_route_table` builds the 16x16 torus's shared
+   table (every pair, chased from the routing's next-hop matrix in NumPy)
+   once; every later evaluation reuses it, and workers rebuild an identical
+   one locally;
 2. **pooled GA pricing** — each GA generation is priced as one
    `evaluate_batch` call fanned out over `ProcessPoolBackend(n_workers=4)`,
    first under the cheap CWM objective, then under the expensive
@@ -28,7 +28,8 @@ import time
 from repro import Platform, Torus
 from repro.core.mapping import Mapping
 from repro.core.objective import cdcm_objective, cwm_objective
-from repro.eval.parallel import ProcessPoolBackend, SerialBackend, warm_route_table
+from repro.eval.parallel import ProcessPoolBackend, SerialBackend
+from repro.eval.route_table import get_route_table
 from repro.graphs.convert import cdcg_to_cwg
 from repro.search.genetic import GeneticParameters, GeneticSearch
 from repro.workloads.tgff import TgffLikeGenerator, TgffSpec
@@ -59,13 +60,12 @@ def main() -> None:
     )
 
     with ProcessPoolBackend(n_workers=n_workers, min_batch_size=2) as pool:
-        # 1. Warm the shared route table in parallel, sharded by source row.
+        # 1. Build the shared route table.
         start = time.perf_counter()
-        table = warm_route_table(platform, backend=pool)
+        get_route_table(platform)
         print(
-            f"route table: {platform.num_tiles ** 2:,} pairs warmed in "
-            f"{time.perf_counter() - start:.2f}s across {n_workers} workers "
-            f"(precomputed={table.is_precomputed})"
+            f"route table: {platform.num_tiles ** 2:,} pairs built in "
+            f"{time.perf_counter() - start:.3f}s"
         )
 
         # 2. Pooled GA under both models.

@@ -34,6 +34,8 @@ import hashlib
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.noc.deadlock import Channel, DeadlockReport, validate_deadlock_free
 from repro.noc.routing import (
     RoutingAlgorithm,
@@ -132,13 +134,21 @@ class SynthesizedRouting(RoutingAlgorithm):
         """Content-addressed identity: equal tables share route caches."""
         return (type(self).__module__, type(self).__qualname__, self._digest)
 
-    def route(self, topology: Topology, source: int, target: int) -> List[int]:
-        """The table route from *source* to *target*, endpoints included."""
+    def _check_size(self, topology: Topology) -> None:
         if topology.num_tiles != len(self._next_hops):
             raise ConfigurationError(
                 f"next-hop table covers {len(self._next_hops)} tiles but "
                 f"{topology} has {topology.num_tiles}"
             )
+
+    def next_hop_matrix(self, topology: Topology) -> np.ndarray:
+        """The table transposed to the ``[tile, target]`` layout."""
+        self._check_size(topology)
+        return np.array(self._next_hops, dtype=np.int64).T
+
+    def route(self, topology: Topology, source: int, target: int) -> List[int]:
+        """The table route from *source* to *target*, endpoints included."""
+        self._check_size(topology)
         for tile in (source, target):
             if not topology.contains(tile):
                 raise ConfigurationError(f"tile {tile} outside {topology}")

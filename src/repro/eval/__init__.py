@@ -8,9 +8,10 @@ CPU time than CWM") and the ROADMAP's large-NoC sweeps both live or die on
 that cost.  The engine is split into a static and a dynamic half:
 
 * :class:`~repro.eval.route_table.RouteTable` (static) — for one platform,
-  precomputes the router path, inter-router link list, hop count ``K`` and
-  per-bit route energy ``EBit_ij`` of every ``(source_tile, target_tile)``
-  pair.  Shared process-wide via
+  builds the hop count ``K``, the per-bit route energy ``EBit_ij`` and the
+  inter-router links (one CSR over link ids, decoded per pair into paths and
+  link lists) of every ``(source_tile, target_tile)`` pair, in NumPy, by
+  chasing the routing's next-hop matrix.  Shared process-wide via
   :func:`~repro.eval.route_table.get_route_table`, and consumed by the CWM
   evaluator, the CDCM scheduler, the greedy constructor and the benchmarks.
 * :class:`~repro.eval.context.EvaluationContext` (dynamic) — binds an
@@ -35,9 +36,7 @@ pluggable: a :class:`~repro.eval.parallel.BatchBackend` decides where the
 uncached candidates of a batch are priced —
 :class:`~repro.eval.parallel.SerialBackend` inline,
 :class:`~repro.eval.parallel.ProcessPoolBackend` across a process pool
-(contexts pickle light; workers rebuild route tables locally).  The same pool
-shards eager route-table construction by source row
-(:func:`~repro.eval.parallel.warm_route_table`) for >16x16 NoC sweeps.
+(contexts pickle light; workers rebuild route tables locally).
 
 A fourth, vectorised half (:mod:`repro.eval.vector`) moves batch pricing onto
 NumPy: :class:`~repro.eval.vector.VectorizedCwmKernel` binds an application
@@ -57,7 +56,6 @@ from repro.eval.route_table import (
     RouteTable,
     clear_route_table_cache,
     get_route_table,
-    register_route_table,
 )
 from repro.eval.context import (
     DEFAULT_CACHE_SIZE,
@@ -70,7 +68,6 @@ from repro.eval.parallel import (
     BatchBackend,
     ProcessPoolBackend,
     SerialBackend,
-    warm_route_table,
 )
 from repro.eval.vector import (
     VectorizedCwmKernel,
@@ -81,7 +78,6 @@ from repro.eval.vector import (
 __all__ = [
     "RouteTable",
     "get_route_table",
-    "register_route_table",
     "clear_route_table_cache",
     "DEFAULT_CACHE_SIZE",
     "CacheInfo",
@@ -91,7 +87,6 @@ __all__ = [
     "BatchBackend",
     "SerialBackend",
     "ProcessPoolBackend",
-    "warm_route_table",
     "VectorizedCwmKernel",
     "population_to_array",
     "array_to_mappings",

@@ -481,8 +481,8 @@ class CwmEvaluationContext(EvaluationContext):
         )
         self.name = f"cwm({cwg.name})"
         self.weights = {"dynamic_energy": 1.0}
-        # The kernel binds lazily on the first chunk: building it densifies
-        # lazy route tables, which sparse per-candidate use should not pay.
+        # The kernel binds on the first chunk: per-candidate use never
+        # needs its edge arrays.
         self._kernel: Optional[VectorizedCwmKernel] = None
         # Flat edge arrays: iterating tuples beats re-walking the CWG object
         # graph on every evaluation, and edge indices give delta() a compact
@@ -556,13 +556,8 @@ class CwmEvaluationContext(EvaluationContext):
         energy = self._flat_energy
         total = 0.0
         try:
-            if energy is not None:
-                for source, target, bits in self._edges:
-                    total += bits * energy[tiles[source] * n + tiles[target]]
-            else:
-                bit_energy = self.route_table.bit_energy
-                for source, target, bits in self._edges:
-                    total += bits * bit_energy(tiles[source], tiles[target])
+            for source, target, bits in self._edges:
+                total += bits * energy[tiles[source] * n + tiles[target]]
         except KeyError as exc:
             raise MappingError(
                 f"mapping does not place core {exc.args[0]!r} of application "
@@ -575,9 +570,7 @@ class CwmEvaluationContext(EvaluationContext):
 
         Bound to the same edge snapshot, route table and accumulation order
         as :meth:`_compute_metrics`, so kernel prices are bit-identical to
-        scalar prices.  Building the kernel densifies a lazy route table
-        (:meth:`~repro.eval.route_table.RouteTable.warm_dense`), which is why
-        it is deferred to the first batch rather than paid at construction.
+        scalar prices.
         """
         kernel = self._kernel
         if kernel is None:
@@ -674,7 +667,6 @@ class CwmEvaluationContext(EvaluationContext):
 
         edges = self._edges
         energy = self._flat_energy
-        bit_energy = self.route_table.bit_energy
         total = 0.0
         for index in edge_ids:
             source, target, bits = edges[index]
@@ -684,16 +676,10 @@ class CwmEvaluationContext(EvaluationContext):
             new_target = moved.get(target, old_target)
             if new_source == old_source and new_target == old_target:
                 continue
-            if energy is not None:
-                total += bits * (
-                    energy[new_source * n + new_target]
-                    - energy[old_source * n + old_target]
-                )
-            else:
-                total += bits * (
-                    bit_energy(new_source, new_target)
-                    - bit_energy(old_source, old_target)
-                )
+            total += bits * (
+                energy[new_source * n + new_target]
+                - energy[old_source * n + old_target]
+            )
         return total
 
     def metric_delta(

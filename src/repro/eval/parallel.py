@@ -20,10 +20,6 @@ Both backends are bit-identical by construction: they run the same
 in submission order, so a seeded search returns the same mapping and the same
 cost no matter which backend priced it (pinned by ``tests/test_parallel.py``).
 
-The same pool also shards eager route-table construction by source row
-(:func:`warm_route_table`), so >16x16 NoC sweeps do not pay the O(n^2)
-warm-up on one core.
-
 A pool whose worker dies (killed, out of memory) is *broken*: every later
 submission raises :class:`~concurrent.futures.process.BrokenProcessPool`.
 :class:`ProcessPoolBackend` heals itself — it drops the broken pool, builds a
@@ -53,16 +49,10 @@ from typing import (
     TYPE_CHECKING,
 )
 
-from repro.eval.route_table import (
-    RouteTable,
-    get_route_table,
-    register_route_table,
-)
 from repro.utils.errors import ConfigurationError
 
 if TYPE_CHECKING:  # pragma: no cover - imports only used by type checkers
     from repro.eval.context import EvaluationContext
-    from repro.noc.platform import Platform
 
 #: Tokens identifying contexts across the process boundary.  Monotonic within
 #: the parent process, so a worker's per-token cache can never confuse two
@@ -122,35 +112,6 @@ def _call(task: Tuple[Callable[..., Any], Tuple[Any, ...]]) -> Any:
     """Worker task: apply ``fn(*args)`` (the generic :meth:`BatchBackend.map` unit)."""
     fn, args = task
     return fn(*args)
-
-
-def _route_rows(
-    platform: "Platform", include_local: bool, start: int, stop: int
-) -> Tuple[List[Tuple[int, ...]], List[Tuple[Tuple[int, int], ...]], List[int], List[float]]:
-    """Worker task: route-table rows for source tiles ``start <= s < stop``.
-
-    Returns the four row-major arrays (paths, links, hops, bit energy) for
-    the slice, ready to be concatenated by
-    :meth:`~repro.eval.route_table.RouteTable.from_tables`.
-    """
-    from repro.energy.bit_energy import bit_energy_route
-
-    mesh = platform.mesh
-    routing = platform.routing
-    technology = platform.technology
-    n = mesh.num_tiles
-    paths: List[Tuple[int, ...]] = []
-    links: List[Tuple[Tuple[int, int], ...]] = []
-    hops: List[int] = []
-    energy: List[float] = []
-    for source in range(start, stop):
-        for target in range(n):
-            path = tuple(routing.route(mesh, source, target))
-            paths.append(path)
-            links.append(tuple(zip(path, path[1:])))
-            hops.append(len(path))
-            energy.append(bit_energy_route(technology, len(path), include_local))
-    return paths, links, hops, energy
 
 
 class BatchBackend(ABC):
@@ -474,85 +435,9 @@ class ProcessPoolBackend(BatchBackend):
         return f"ProcessPoolBackend(n_workers={self.n_workers}, {state})"
 
 
-def warm_route_table(
-    platform: "Platform",
-    include_local: bool = True,
-    backend: Optional[BatchBackend] = None,
-    register: bool = True,
-) -> RouteTable:
-    """Eagerly build a platform's route table, sharded by source row.
-
-    For NoCs above the lazy threshold (>16x16), the default
-    :func:`~repro.eval.route_table.get_route_table` avoids the O(n^2) warm-up
-    by materialising pairs on demand — the right default for sparse access,
-    the wrong one for a sweep that will touch every pair anyway.  This helper
-    forces the eager build and, given a :class:`ProcessPoolBackend`, computes
-    it in parallel: the source tiles are split into per-mesh-row shards, each
-    worker walks the routes of its rows, and the slices are concatenated with
-    :meth:`~repro.eval.route_table.RouteTable.from_tables`.
-
-    Parameters
-    ----------
-    platform:
-        Target architecture (topology, routing, technology).
-    include_local:
-        Whether local core-router links contribute to per-bit route energy.
-    backend:
-        Where to compute the rows; ``None`` builds serially.
-    register:
-        Install the result as the process-wide shared table
-        (:func:`~repro.eval.route_table.register_route_table`) so subsequent
-        ``get_route_table`` calls — and workers forked after the warm-up —
-        reuse it.
-
-    Returns
-    -------
-    RouteTable
-        An eager table identical to ``RouteTable.for_platform(platform,
-        include_local, precompute=True)``.
-    """
-    if backend is None or isinstance(backend, SerialBackend):
-        table = RouteTable.for_platform(
-            platform, include_local=include_local, precompute=True
-        )
-    else:
-        n = platform.num_tiles
-        # One shard per mesh row; topologies without a grid embedding fall
-        # back to sqrt(n)-sized slices (same concatenation order either way,
-        # so the assembled table is identical regardless of sharding).
-        span = getattr(platform.mesh, "width", None) or max(1, math.isqrt(n))
-        shards: List[Tuple["Platform", bool, int, int]] = []
-        for start in range(0, n, span):
-            shards.append((platform, include_local, start, min(start + span, n)))
-        rows = backend.map(_route_rows, shards)
-        paths: List[Tuple[int, ...]] = []
-        links: List[Tuple[Tuple[int, int], ...]] = []
-        hops: List[int] = []
-        energy: List[float] = []
-        for shard_paths, shard_links, shard_hops, shard_energy in rows:
-            paths.extend(shard_paths)
-            links.extend(shard_links)
-            hops.extend(shard_hops)
-            energy.extend(shard_energy)
-        table = RouteTable.from_tables(
-            platform.mesh,
-            platform.routing,
-            platform.technology,
-            include_local,
-            paths,
-            links,
-            hops,
-            energy,
-        )
-    if register:
-        register_route_table(platform, table, include_local=include_local)
-    return table
-
-
 __all__ = [
     "POOL_RETRY_LIMIT",
     "BatchBackend",
     "SerialBackend",
     "ProcessPoolBackend",
-    "warm_route_table",
 ]

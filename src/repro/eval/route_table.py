@@ -1,45 +1,40 @@
-"""Precomputed route tables — the static half of the evaluation engine.
+"""Route tables — the static half of the evaluation engine.
 
 Pricing a candidate mapping only ever asks four questions about a pair of
 tiles: *which routers does a packet traverse* (the path), *which inter-router
 links does it cross*, *how many hops is that* (``K`` of equation 2), and *how
 much dynamic energy does one bit pay along the way* (``EBit_ij``).  For a
 deterministic routing function over a fixed platform, every one of those
-answers is a pure function of the ``(source_tile, target_tile)`` pair — yet
-the seed code re-derived the XY route edge-by-edge on every objective
-evaluation, every scheduler replay and every greedy placement probe.
+answers is a pure function of the ``(source_tile, target_tile)`` pair.
 
-:class:`RouteTable` computes all four answers once per platform and serves
-them as O(1) lookups.  Tables are small (``n**2`` entries for an ``n``-tile
-NoC; 4 096 entries for an 8x8 mesh) and are shared process-wide through
-:func:`get_route_table`, keyed by the topology's stable
-:attr:`~repro.noc.topology.Topology.cache_token`, the routing algorithm's
-``cache_token``, the technology and the local-link flag — so the CWM
-evaluator, the CDCM scheduler, the greedy constructor and the benchmarks all
-price mappings against the same precomputed tables, and meshes, tori and
-irregular fabrics (with distinct tokens) can never alias each other's
-tables.
+:class:`RouteTable` answers all four for every pair at construction and
+serves them as O(1) lookups.  Every routing is destination-based, so the
+routing's ``(n, n)`` next-hop matrix
+(:meth:`~repro.noc.routing.RoutingAlgorithm.next_hop_matrix`) fixes every
+route: the build moves all ``n**2`` pairs forward one hop per step in NumPy,
+and stores
 
-For very large NoCs (more than ``_EAGER_PAIR_LIMIT`` pairs) the table turns
-into a lazy per-pair memo instead of an eager precomputation, so sweeps over
-huge meshes never pay an O(n**2) warm-up for pairs they might not touch.
+* ``hops`` and ``energy`` as dense row-major arrays, which scalar lookups
+  index and the vectorised pricing kernel (:mod:`repro.eval.vector`) gathers
+  from as ``(n, n)`` matrices (:meth:`RouteTable.as_arrays`);
+* every pair's links as one read-only CSR over link ids
+  (:meth:`RouteTable.link_incidence`), which the link-load kernel expands
+  whole populations through, and which :meth:`RouteTable.path`,
+  :meth:`RouteTable.links` and :meth:`RouteTable.link_ids` decode per pair
+  (memoised).
 
-The numeric halves of an eager table (``hops`` and ``energy``) are stored as
-dense NumPy arrays rather than Python lists: scalar lookups index the same
-allocation the vectorised pricing kernel (:mod:`repro.eval.vector`) gathers
-from, exposed as ``(n, n)`` matrices through :meth:`RouteTable.as_arrays`.
-Lazy tables can densify those two halves on demand with
-:meth:`RouteTable.warm_dense`, which reuses — not re-derives — every pair
-already in the per-pair memo.
-
-The link lists of every pair are also available as one CSR array over link
-ids (:meth:`RouteTable.link_incidence`), built on first use and kept with the
-table, for kernels that push a whole population's traffic onto links at once.
+Tables are shared process-wide through :func:`get_route_table`, keyed by the
+topology's stable :attr:`~repro.noc.topology.Topology.cache_token`, the
+routing algorithm's ``cache_token``, the technology and the local-link flag —
+so the CWM evaluator, the CDCM scheduler, the greedy constructor and the
+benchmarks all price mappings against the same tables, and meshes, tori and
+irregular fabrics (with distinct tokens) can never alias each other's tables.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple, TYPE_CHECKING
+from collections import OrderedDict
+from typing import Dict, Tuple, TYPE_CHECKING
 
 import numpy as np
 
@@ -53,12 +48,11 @@ if TYPE_CHECKING:  # pragma: no cover - imports only used by type checkers
     from repro.noc.routing import RoutingAlgorithm
     from repro.noc.topology import Topology
 
-#: Above this many (source, target) pairs the table fills lazily on demand.
-_EAGER_PAIR_LIMIT = 1 << 16
+Link = Tuple[int, int]
 
 
 def _freeze(array: np.ndarray) -> np.ndarray:
-    """Mark *array* read-only (dense halves are shared across evaluators)."""
+    """Mark *array* read-only (the arrays are shared across evaluators)."""
     array.setflags(write=False)
     return array
 
@@ -73,16 +67,19 @@ class RouteTable:
         any :class:`~repro.noc.topology.Topology`; the parameter keeps the
         paper's name, aliased as :attr:`topology`).
     routing:
-        Deterministic routing algorithm; must be stateless, as all routing
-        algorithms in :mod:`repro.noc.routing` are.
+        Deterministic, destination-based routing algorithm; must be
+        stateless, as all routing algorithms in :mod:`repro.noc.routing` are.
     technology:
-        Supplies the per-bit energies used to precompute ``EBit_ij``.
+        Supplies the per-bit energies used to compute ``EBit_ij``.
     include_local:
         Whether the two local core-router links contribute ``2 x ECbit`` to
         the per-bit route energy (mirrors the evaluator flag).
-    precompute:
-        Force eager (True) or lazy (False) table construction; by default the
-        table is eager up to ``_EAGER_PAIR_LIMIT`` pairs.
+
+    Raises
+    ------
+    ConfigurationError
+        If a route is unreachable, loops (more than ``n`` steps), or crosses
+        a tile pair that is not a link of the topology.
     """
 
     __slots__ = (
@@ -91,14 +88,12 @@ class RouteTable:
         "technology",
         "include_local",
         "num_tiles",
-        "_eager",
-        "_paths",
-        "_links",
         "_hops",
         "_energy",
-        "_dense_hops",
-        "_dense_energy",
         "_incidence",
+        "_links",
+        "_link_id_memo",
+        "_route_memo",
     )
 
     def __init__(
@@ -107,53 +102,94 @@ class RouteTable:
         routing: "RoutingAlgorithm",
         technology: "Technology",
         include_local: bool = True,
-        precompute: Optional[bool] = None,
     ) -> None:
         self.mesh = mesh
         self.routing = routing
         self.technology = technology
         self.include_local = include_local
-        self.num_tiles = mesh.num_tiles
-        pairs = self.num_tiles * self.num_tiles
-        self._eager = pairs <= _EAGER_PAIR_LIMIT if precompute is None else precompute
-        self._dense_hops: Optional[np.ndarray] = None
-        self._dense_energy: Optional[np.ndarray] = None
-        self._incidence: Optional[Tuple[np.ndarray, np.ndarray, int]] = None
-        if self._eager:
-            paths: List[Tuple[int, ...]] = []
-            links: List[Tuple[Tuple[int, int], ...]] = []
-            hops: List[int] = []
-            energy: List[float] = []
-            for source in range(self.num_tiles):
-                for target in range(self.num_tiles):
-                    path = tuple(routing.route(mesh, source, target))
-                    paths.append(path)
-                    links.append(tuple(zip(path, path[1:])))
-                    hops.append(len(path))
-                    energy.append(
-                        bit_energy_route(technology, len(path), include_local)
-                    )
-            self._paths = paths
-            self._links = links
-            # Eager numeric halves live in one dense allocation shared by
-            # scalar lookups and the vectorised kernel (see as_arrays()).
-            self._hops = _freeze(np.array(hops, dtype=np.int64))
-            self._energy = _freeze(np.array(energy, dtype=np.float64))
-        else:
-            self._paths: Dict[int, Tuple[int, ...]] = {}
-            self._links: Dict[int, Tuple[Tuple[int, int], ...]] = {}
-            self._hops: Dict[int, int] = {}
-            self._energy: Dict[int, float] = {}
+        n = self.num_tiles = mesh.num_tiles
+        next_hop = np.asarray(routing.next_hop_matrix(mesh), dtype=np.int64)
+        if next_hop.shape != (n, n):
+            raise ConfigurationError(
+                f"{routing.name} routing gave a {next_hop.shape} next-hop "
+                f"matrix for the {n}-tile {mesh}, expected ({n}, {n})"
+            )
+        self._links = mesh.links()
+        link_id = np.full(n * n, -1, dtype=np.int64)
+        if self._links:
+            ends = np.array(self._links, dtype=np.int64)
+            link_id[ends[:, 0] * n + ends[:, 1]] = np.arange(len(self._links))
+
+        # Entry [tile, target] is the first hop of the route tile -> target,
+        # so checking every off-diagonal entry checks every hop of every route.
+        next_hop = next_hop.ravel()
+        pair = np.arange(n * n)
+        tile, target = pair // n, pair % n
+        en_route = tile != target
+        first_link = link_id[tile * n + np.maximum(next_hop, 0)]
+        bad = np.flatnonzero(en_route & ((next_hop < 0) | (first_link < 0)))
+        if bad.size:
+            source, end = divmod(int(bad[0]), n)
+            hop = int(next_hop[bad[0]])
+            if hop < 0:
+                raise ConfigurationError(
+                    f"no route from tile {source} to tile {end} in {mesh} "
+                    f"under {routing.name} routing"
+                )
+            raise ConfigurationError(
+                f"route {source} -> {end} crosses {(source, hop)}, which is "
+                f"not a link of {mesh}"
+            )
+
+        # Route lengths by pointer doubling: after round k, jump[p] is the
+        # pair (tile reached, target) of pair p after 2**k hops and lengths[p]
+        # counts the links crossed so far.  A loop-free route arrives within
+        # n - 1 hops; one still travelling after that loops.
+        jump = np.where(en_route, next_hop * n + target, pair)
+        lengths = en_route.astype(np.int64)
+        for _ in range(n.bit_length()):
+            lengths += lengths[jump]
+            jump = jump[jump]
+        looping = np.flatnonzero(jump != target * (n + 1))
+        if looping.size:
+            source, end = divmod(int(looping[0]), n)
+            raise ConfigurationError(
+                f"routing loop from tile {source} to tile {end} in {mesh} "
+                f"under {routing.name} routing"
+            )
+        ptr = np.zeros(n * n + 1, dtype=np.int64)
+        np.cumsum(lengths, out=ptr[1:])
+
+        # The chase: all pairs move one hop per step, in lockstep, and the
+        # k-th link of pair p lands in CSR slot ptr[p] + k.
+        ids = np.empty(int(ptr[-1]), dtype=np.int32)
+        moving = at = pair[en_route]  # at: the pair (current tile, target)
+        target = target[en_route]
+        step = 0
+        while moving.size:
+            ids[ptr[moving] + step] = first_link[at]
+            hop = next_hop[at]
+            going = hop != target
+            moving, target = moving[going], target[going]
+            at = hop[going] * n + target
+            step += 1
+
+        hops = lengths + 1  # K counts routers: one more than the links
+        energy_of_k = np.zeros(int(hops.max()) + 1, dtype=np.float64)
+        for k in np.unique(hops).tolist():
+            energy_of_k[k] = bit_energy_route(technology, k, include_local)
+        self._hops = _freeze(hops)
+        self._energy = _freeze(energy_of_k[hops])
+        self._incidence = (_freeze(ptr), _freeze(ids), len(self._links))
+        self._link_id_memo: Dict[Link, Tuple[int, ...]] = {}
+        self._route_memo: Dict[Link, Tuple[Tuple[int, ...], Tuple[Link, ...]]] = {}
 
     # ------------------------------------------------------------------
     # Construction helpers
     # ------------------------------------------------------------------
     @classmethod
     def for_platform(
-        cls,
-        platform: "Platform",
-        include_local: bool = True,
-        precompute: Optional[bool] = None,
+        cls, platform: "Platform", include_local: bool = True
     ) -> "RouteTable":
         """Table for a :class:`~repro.noc.platform.Platform` (uncached)."""
         return cls(
@@ -161,76 +197,7 @@ class RouteTable:
             platform.routing,
             platform.technology,
             include_local=include_local,
-            precompute=precompute,
         )
-
-    @classmethod
-    def from_tables(
-        cls,
-        mesh: "Topology",
-        routing: "RoutingAlgorithm",
-        technology: "Technology",
-        include_local: bool,
-        paths: List[Tuple[int, ...]],
-        links: List[Tuple[Tuple[int, int], ...]],
-        hops: List[int],
-        energy: List[float],
-    ) -> "RouteTable":
-        """Assemble an eager table from already-computed row-major arrays.
-
-        This is the assembly half of the sharded parallel warm-up
-        (:func:`repro.eval.parallel.warm_route_table`): workers compute slices
-        of the four arrays for disjoint source-tile ranges and the caller
-        concatenates them here instead of re-walking every route serially.
-
-        Parameters
-        ----------
-        mesh, routing, technology, include_local:
-            The platform facets the arrays were computed for (same meaning as
-            in the constructor).
-        paths, links, hops, energy:
-            Row-major per-pair arrays (index ``source * num_tiles + target``),
-            each of length ``num_tiles ** 2``.
-
-        Returns
-        -------
-        RouteTable
-            An eager table semantically identical to
-            ``RouteTable(mesh, routing, technology, include_local)``.
-        """
-        num_tiles = mesh.num_tiles
-        expected = num_tiles * num_tiles
-        for label, table in (
-            ("paths", paths),
-            ("links", links),
-            ("hops", hops),
-            ("energy", energy),
-        ):
-            if len(table) != expected:
-                raise ConfigurationError(
-                    f"{label} table has {len(table)} entries, expected "
-                    f"{expected} for the {num_tiles}-tile {mesh}"
-                )
-        instance = object.__new__(cls)
-        instance.mesh = mesh
-        instance.routing = routing
-        instance.technology = technology
-        instance.include_local = include_local
-        instance.num_tiles = num_tiles
-        instance._eager = True
-        instance._paths = list(paths)
-        instance._links = list(links)
-        instance._hops = _freeze(np.array(hops, dtype=np.int64))
-        instance._energy = _freeze(np.array(energy, dtype=np.float64))
-        instance._dense_hops = None
-        instance._dense_energy = None
-        instance._incidence = None
-        return instance
-
-    @property
-    def is_precomputed(self) -> bool:
-        """True when every pair was materialised eagerly at construction."""
-        return self._eager
 
     @property
     def topology(self) -> "Topology":
@@ -248,135 +215,68 @@ class RouteTable:
             )
         return source * n + target
 
-    def _materialise(self, index: int, source: int, target: int) -> None:
-        path = tuple(self.routing.route(self.mesh, source, target))
-        self._paths[index] = path
-        self._links[index] = tuple(zip(path, path[1:]))
-        self._hops[index] = len(path)
-        self._energy[index] = bit_energy_route(
-            self.technology, len(path), self.include_local
-        )
+    def link_ids(self, source: int, target: int) -> Tuple[int, ...]:
+        """Ids (positions in ``topology.links()``) of the route's links, in order.
+
+        Decoded from the CSR on a pair's first lookup and memoised: this is
+        the lookup the CDCM pricing replay makes per packet, so it builds
+        nothing else.
+        """
+        link_ids = self._link_id_memo.get((source, target))
+        if link_ids is None:
+            index = self._index(source, target)
+            ptr, ids, _ = self._incidence
+            start, stop = ptr[index : index + 2].tolist()
+            link_ids = tuple(ids[start:stop].tolist())
+            self._link_id_memo[source, target] = link_ids
+        return link_ids
+
+    def _route(self, source: int, target: int) -> Tuple[Tuple[int, ...], Tuple[Link, ...]]:
+        """``(path, links)`` of one pair, decoded from its link ids once."""
+        route = self._route_memo.get((source, target))
+        if route is None:
+            links = tuple([self._links[i] for i in self.link_ids(source, target)])
+            path = (source,) + tuple([hop for _, hop in links])
+            route = self._route_memo[source, target] = (path, links)
+        return route
 
     def path(self, source: int, target: int) -> Tuple[int, ...]:
         """Router (tile) indices traversed, both endpoints included."""
-        index = self._index(source, target)
-        if not self._eager and index not in self._paths:
-            self._materialise(index, source, target)
-        return self._paths[index]
+        return self._route(source, target)[0]
 
-    def links(self, source: int, target: int) -> Tuple[Tuple[int, int], ...]:
+    def links(self, source: int, target: int) -> Tuple[Link, ...]:
         """Inter-router links of the route, as ``(from, to)`` tile pairs."""
-        index = self._index(source, target)
-        if not self._eager and index not in self._links:
-            self._materialise(index, source, target)
-        return self._links[index]
+        return self._route(source, target)[1]
 
     def hop_count(self, source: int, target: int) -> int:
         """``K`` — number of routers traversed."""
-        index = self._index(source, target)
-        if self._eager:
-            return int(self._hops[index])
-        if self._dense_hops is not None:
-            return int(self._dense_hops[index])
-        if index not in self._hops:
-            self._materialise(index, source, target)
-        return self._hops[index]
+        return int(self._hops[self._index(source, target)])
 
     def bit_energy(self, source: int, target: int) -> float:
         """``EBit_ij`` of equation (2) for this pair, in pJ per bit."""
-        index = self._index(source, target)
-        if self._eager:
-            return float(self._energy[index])
-        if self._dense_energy is not None:
-            return float(self._dense_energy[index])
-        if index not in self._energy:
-            self._materialise(index, source, target)
-        return self._energy[index]
+        return float(self._energy[self._index(source, target)])
 
-    def flat_bit_energy(self) -> Optional[np.ndarray]:
+    def flat_bit_energy(self) -> np.ndarray:
         """Row-major ``EBit`` array (``source * num_tiles + target``).
 
-        Returns the dense per-pair energy vector — the same allocation
-        :meth:`as_arrays` reshapes — for eager tables and for lazy tables
-        that have been :meth:`warm_dense`-ed; ``None`` for cold lazy tables.
-        Hot loops that get the array can index it directly and skip per-call
-        method dispatch.
+        The same allocation :meth:`as_arrays` reshapes; hot loops index it
+        directly and skip per-call method dispatch.
         """
-        if self._eager:
-            return self._energy
-        return self._dense_energy
+        return self._energy
 
     # ------------------------------------------------------------------
-    # Dense (vectorised) views
+    # Array views
     # ------------------------------------------------------------------
-    @property
-    def is_dense(self) -> bool:
-        """True when :meth:`as_arrays` can answer without densifying first."""
-        return self._eager or self._dense_energy is not None
-
     def as_arrays(self) -> Tuple[np.ndarray, np.ndarray]:
         """Dense ``(n, n)`` matrices ``(energy, hops)`` of the whole table.
 
         ``energy[i, j]`` is ``bit_energy(i, j)`` (float64) and ``hops[i, j]``
         is ``hop_count(i, j)`` (int64).  The matrices are read-only reshape
-        views of the table's own row-major storage — computed once, never
-        copied — and are what :class:`repro.eval.vector.VectorizedCwmKernel`
-        gathers from.  A cold lazy table raises
-        :class:`~repro.utils.errors.ConfigurationError`; call
-        :meth:`warm_dense` (which returns the same views) to densify it.
+        views of the table's own row-major storage — never copied — and are
+        what :class:`repro.eval.vector.VectorizedCwmKernel` gathers from.
         """
-        if self._eager:
-            energy, hops = self._energy, self._hops
-        elif self._dense_energy is not None:
-            energy, hops = self._dense_energy, self._dense_hops
-        else:
-            raise ConfigurationError(
-                f"{self!r} is lazy and has no dense matrices yet; call "
-                f"warm_dense() to materialise them"
-            )
         n = self.num_tiles
-        return energy.reshape(n, n), hops.reshape(n, n)
-
-    def warm_dense(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Densify the numeric halves of a lazy table in one pass.
-
-        Pairs already in the per-pair memo are *reused*, not re-routed; only
-        the missing pairs walk the routing algorithm.  Paths and links stay
-        lazy (densifying them would cost the O(n^2) tuple storage the lazy
-        mode exists to avoid) — after warming, ``hop_count``/``bit_energy``
-        answer from the dense matrices while ``path``/``links`` keep
-        memoising per pair.  Idempotent; eager tables are already dense.
-
-        Returns
-        -------
-        (energy, hops):
-            The same read-only ``(n, n)`` views :meth:`as_arrays` returns.
-        """
-        if not self._eager and self._dense_energy is None:
-            n = self.num_tiles
-            energy = np.empty(n * n, dtype=np.float64)
-            hops = np.empty(n * n, dtype=np.int64)
-            memo_energy = self._energy
-            memo_hops = self._hops
-            mesh, routing = self.mesh, self.routing
-            technology, include_local = self.technology, self.include_local
-            index = 0
-            for source in range(n):
-                for target in range(n):
-                    cached = memo_energy.get(index)
-                    if cached is not None:
-                        energy[index] = cached
-                        hops[index] = memo_hops[index]
-                    else:
-                        count = len(routing.route(mesh, source, target))
-                        hops[index] = count
-                        energy[index] = bit_energy_route(
-                            technology, count, include_local
-                        )
-                    index += 1
-            self._dense_energy = _freeze(energy)
-            self._dense_hops = _freeze(hops)
-        return self.as_arrays()
+        return self._energy.reshape(n, n), self._hops.reshape(n, n)
 
     def link_incidence(self) -> Tuple[np.ndarray, np.ndarray, int]:
         """Every pair's route links as one CSR array over directed link ids.
@@ -389,70 +289,43 @@ class RouteTable:
         :class:`~repro.codesign.load.LoadAwareCwmContext` expands candidate
         routes through.
 
-        Built on the first call and kept for the table's lifetime.  A lazy
-        table builds it over all pairs too (as :meth:`warm_dense` does),
-        reusing memoised routes but memoising none, so it costs about
-        ``8 * n**2`` bytes of offsets plus 4 bytes per route link.
-
         Returns
         -------
         (ptr, link_ids, num_links):
             Read-only ``int64`` offsets of length ``num_tiles ** 2 + 1``,
             read-only ``int32`` link ids, and the topology's link count.
         """
-        if self._incidence is None:
-            n = self.num_tiles
-            number = {link: index for index, link in enumerate(self.mesh.links())}
-            lengths = np.zeros(n * n, dtype=np.int64)
-            ids: List[int] = []
-            index = 0
-            for source in range(n):
-                for target in range(n):
-                    if source != target:
-                        links = self._route_links(index, source, target)
-                        try:
-                            ids.extend(number[link] for link in links)
-                        except KeyError as exc:
-                            raise ConfigurationError(
-                                f"route {source} -> {target} crosses {exc.args[0]}, "
-                                f"which is not a link of {self.mesh}"
-                            ) from None
-                        lengths[index] = len(links)
-                    index += 1
-            ptr = np.zeros(n * n + 1, dtype=np.int64)
-            np.cumsum(lengths, out=ptr[1:])
-            self._incidence = (
-                _freeze(ptr),
-                _freeze(np.array(ids, dtype=np.int32)),
-                len(number),
-            )
         return self._incidence
 
-    def _route_links(
-        self, index: int, source: int, target: int
-    ) -> Tuple[Tuple[int, int], ...]:
-        """Links of one pair, from the table when present, else routed afresh."""
-        links = self._links[index] if self._eager else self._links.get(index)
-        if links is None:
-            path = tuple(self.routing.route(self.mesh, source, target))
-            links = tuple(zip(path, path[1:]))
-        return links
+    # ------------------------------------------------------------------
+    # Pickling: the per-pair memos are derived state and stay behind
+    # ------------------------------------------------------------------
+    def __getstate__(self) -> Dict[str, object]:
+        state = {name: getattr(self, name) for name in self.__slots__}
+        state["_link_id_memo"] = {}
+        state["_route_memo"] = {}
+        return state
+
+    def __setstate__(self, state: Dict[str, object]) -> None:
+        for name, value in state.items():
+            object.__setattr__(self, name, value)
+        for array in (self._hops, self._energy, *self._incidence[:2]):
+            _freeze(array)
 
     def __repr__(self) -> str:
-        mode = "precomputed" if self._eager else "lazy"
         return (
             f"RouteTable({self.mesh}, {self.routing.name} routing, "
-            f"{self.technology.name}, {mode})"
+            f"{self.technology.name})"
         )
 
 
 # ----------------------------------------------------------------------
 # Process-wide sharing
 # ----------------------------------------------------------------------
-_TABLE_CACHE: Dict[Tuple, RouteTable] = {}
+_TABLE_CACHE: "OrderedDict[Tuple, RouteTable]" = OrderedDict()
 
 #: Upper bound on distinct cached tables (sweeps over many platforms evict
-#: the oldest entries instead of growing without bound).
+#: the least recently used entries instead of growing without bound).
 _TABLE_CACHE_LIMIT = 32
 
 
@@ -481,7 +354,8 @@ def get_route_table(platform: "Platform", include_local: bool = True) -> RouteTa
     helper bound to the same platform therefore reuses one table, and two
     topology objects share a table exactly when their tokens — which embed
     the concrete class, so wrap-capable subclasses never alias — agree.
-    The cache assumes routing algorithms are deterministic and stateless
+    The cache keeps the :data:`_TABLE_CACHE_LIMIT` most recently used
+    tables.  It assumes routing algorithms are deterministic and stateless
     (true for all of :mod:`repro.noc.routing`); a stateful custom algorithm
     should build :meth:`RouteTable.for_platform` directly.
     """
@@ -490,41 +364,11 @@ def get_route_table(platform: "Platform", include_local: bool = True) -> RouteTa
     if table is None:
         table = RouteTable.for_platform(platform, include_local=include_local)
         while len(_TABLE_CACHE) >= _TABLE_CACHE_LIMIT:
-            _TABLE_CACHE.pop(next(iter(_TABLE_CACHE)))
+            _TABLE_CACHE.popitem(last=False)
         _TABLE_CACHE[key] = table
+    else:
+        _TABLE_CACHE.move_to_end(key)
     return table
-
-
-def register_route_table(
-    platform: "Platform", table: RouteTable, include_local: bool = True
-) -> None:
-    """Install *table* as the process-wide shared table for *platform*.
-
-    Used by the parallel warm-up (:func:`repro.eval.parallel.warm_route_table`)
-    so that a table assembled from sharded worker results is the one every
-    subsequent :func:`get_route_table` call returns — large-NoC sweeps warm up
-    once, in parallel, and then price serially (or in a pool) off the shared
-    result.
-
-    Parameters
-    ----------
-    platform:
-        Platform the table was built for.
-    table:
-        The table to share; must match the platform's tile count.
-    include_local:
-        The local-link flag the table was built with (part of the cache key).
-    """
-    if table.num_tiles != platform.num_tiles:
-        raise ConfigurationError(
-            f"table covers {table.num_tiles} tiles but the platform has "
-            f"{platform.num_tiles}"
-        )
-    key = _cache_key(platform, include_local)
-    if key not in _TABLE_CACHE:  # overwriting an entry must not evict others
-        while len(_TABLE_CACHE) >= _TABLE_CACHE_LIMIT:
-            _TABLE_CACHE.pop(next(iter(_TABLE_CACHE)))
-    _TABLE_CACHE[key] = table
 
 
 def is_shared_route_table(
@@ -564,7 +408,6 @@ def clear_route_table_cache() -> None:
 __all__ = [
     "RouteTable",
     "get_route_table",
-    "register_route_table",
     "is_shared_route_table",
     "clear_route_table_cache",
 ]

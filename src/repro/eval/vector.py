@@ -163,9 +163,8 @@ class VectorizedCwmKernel:
     edges:
         ``(source_core, target_core, bits)`` triples, in accumulation order.
     route_table:
-        Table supplying the dense matrices; lazy tables are densified via
-        :meth:`~repro.eval.route_table.RouteTable.warm_dense` (pairs already
-        memoised are reused, not re-routed).
+        Table supplying the dense matrices
+        (:meth:`~repro.eval.route_table.RouteTable.as_arrays`).
     core_order:
         Column order of the populations this kernel prices.  The pinned
         contract is the sorted core names of the bound application; pass it
@@ -225,7 +224,7 @@ class VectorizedCwmKernel:
         self._required = frozenset(
             core for source, target, _ in edge_list for core in (source, target)
         )
-        self._energy, self._hops = route_table.warm_dense()
+        self._energy, self._hops = route_table.as_arrays()
 
     # ------------------------------------------------------------------
     # Construction helpers

@@ -25,13 +25,18 @@ Beyond the dimension-ordered pair, the module provides:
 A routing algorithm maps a ``(source tile, target tile)`` pair to the ordered
 list of routers the packet header traverses, source router and target router
 included (the quantity ``K`` of equations 2 and 6–8 is the length of that
-list).
+list).  Every routing here is *destination-based*: the next hop depends only
+on the current tile and the target, so one ``(n, n)`` next-hop matrix
+(:meth:`RoutingAlgorithm.next_hop_matrix`) fixes every route, and route
+tables are built by chasing it.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from typing import Callable, Dict, List, Optional, Tuple
+
+import numpy as np
 
 from repro.noc.topology import Topology, topology_cache_token
 from repro.utils.errors import ConfigurationError
@@ -48,6 +53,15 @@ class RoutingAlgorithm(ABC):
     ``(topology, source, target)`` triple must always yield the same route,
     which is what lets route tables be shared process-wide and parallel
     pricing stay bit-identical to serial.
+
+    Routings must also be **destination-based**: the hop a packet takes out
+    of a tile depends only on that tile and the target, never on where the
+    packet came from, so the route from any intermediate tile is the rest of
+    the original route.  :meth:`next_hop_matrix` relies on it, and
+    :class:`~repro.eval.route_table.RouteTable` builds every route from that
+    matrix.  A routing whose route depends on the source raises
+    :class:`~repro.utils.errors.ConfigurationError` when its matrix is
+    derived and a walked route contradicts an earlier one.
     """
 
     #: Short identifier used in configuration files and reports.
@@ -72,6 +86,39 @@ class RoutingAlgorithm(ABC):
         """The inter-router links of the route, as ``(from_tile, to_tile)`` pairs."""
         path = self.route(topology, source, target)
         return list(zip(path, path[1:]))
+
+    def next_hop_matrix(self, topology: Topology) -> np.ndarray:
+        """The ``(n, n)`` next-hop matrix: ``[tile, target]`` is the tile a
+        packet at *tile* bound for *target* moves to next (``-1`` on the
+        diagonal and where a route never passes).
+
+        The default derives the matrix from :meth:`route`, target by target.
+        It walks a route only from sources not already on a known route to
+        that target, and checks every step it walks against the hops already
+        known; a contradiction means the routing is not destination-based
+        and raises :class:`~repro.utils.errors.ConfigurationError` naming
+        the pair.  Subclasses with a closed form override it.
+        """
+        n = topology.num_tiles
+        matrix = np.full((n, n), -1, dtype=np.int64)
+        for target in range(n):
+            known = [-1] * n
+            for source in range(n):
+                if source == target or known[source] >= 0:
+                    continue
+                path = self.route(topology, source, target)
+                for tile, hop in zip(path, path[1:]):
+                    if known[tile] < 0:
+                        known[tile] = hop
+                    elif known[tile] != hop:
+                        raise ConfigurationError(
+                            f"{self.name} routing is not destination-based: the "
+                            f"route {source} -> {target} leaves tile {tile} for "
+                            f"{hop}, but an earlier route to {target} left it "
+                            f"for {known[tile]}"
+                        )
+            matrix[:, target] = known
+        return matrix
 
     @property
     def cache_token(self) -> Tuple:
@@ -105,6 +152,34 @@ def _axis_steps(start: int, end: int, size: int, wrap: bool) -> List[int]:
         current = (current + step) % size
         coords.append(current)
     return coords
+
+
+def _axis_step(
+    current: np.ndarray, end: np.ndarray, size: int, wrap: bool
+) -> np.ndarray:
+    """The next coordinate towards *end* along one axis, elementwise — the
+    first step of :func:`_axis_steps` (meaningless where ``current == end``)."""
+    if not wrap:
+        return current + np.sign(end - current)
+    forward = (end - current) % size
+    backward = (current - end) % size
+    return (current + np.where(forward <= backward, 1, -1)) % size
+
+
+def _dimension_ordered_next_hops(topology: Topology, x_first: bool) -> np.ndarray:
+    """Next-hop matrix of XY (*x_first*) or YX routing on a grid topology."""
+    n = topology.num_tiles
+    xs, ys = np.array([topology.position_of(tile) for tile in range(n)]).T
+    grid = np.full((topology.height, topology.width), -1, dtype=np.int64)
+    grid[ys, xs] = np.arange(n)
+    x, target_x = xs[:, None], xs[None, :]
+    y, target_y = ys[:, None], ys[None, :]
+    step_x = _axis_step(x, target_x, topology.width, _wraps(topology, "wraps_x"))
+    step_y = _axis_step(y, target_y, topology.height, _wraps(topology, "wraps_y"))
+    move_x = x != target_x if x_first else y == target_y
+    matrix = grid[np.where(move_x, y, step_y), np.where(move_x, step_x, x)]
+    np.fill_diagonal(matrix, -1)
+    return matrix
 
 
 def _wraps(topology: Topology, axis_flag: str) -> bool:
@@ -145,6 +220,11 @@ class XYRouting(RoutingAlgorithm):
             path.append(topology.index_of(tx, y))
         return path
 
+    def next_hop_matrix(self, topology: Topology) -> np.ndarray:
+        """XY next hops of every ``(tile, target)`` pair, in one NumPy pass."""
+        _require_grid(topology, self.name)
+        return _dimension_ordered_next_hops(topology, x_first=True)
+
 
 class YXRouting(RoutingAlgorithm):
     """Dimension-ordered routing: Y axis first, then X axis."""
@@ -163,6 +243,11 @@ class YXRouting(RoutingAlgorithm):
         for x in _axis_steps(sx, tx, topology.width, _wraps(topology, "wraps_x")):
             path.append(topology.index_of(x, ty))
         return path
+
+    def next_hop_matrix(self, topology: Topology) -> np.ndarray:
+        """YX next hops of every ``(tile, target)`` pair, in one NumPy pass."""
+        _require_grid(topology, self.name)
+        return _dimension_ordered_next_hops(topology, x_first=False)
 
 
 class WestFirstRouting(RoutingAlgorithm):
@@ -293,6 +378,11 @@ class TableRouting(RoutingAlgorithm):
                     f"{topology}"
                 )
         return path
+
+    def next_hop_matrix(self, topology: Topology) -> np.ndarray:
+        """The BFS next-hop rows of every target, stacked as ``[tile, target]``."""
+        rows = [self._next_hops(topology, target) for target in topology.tiles()]
+        return np.array(rows, dtype=np.int64).T
 
     # ------------------------------------------------------------------
     def _adjacency(

@@ -424,8 +424,7 @@ class CdcmScheduler:
         tr = params.routing_time
         tl = params.link_time
         serialize_local = params.serialize_local_links
-        path_of = self._route_table.path
-        n = self._route_table.num_tiles
+        link_ids_of = self._route_table.link_ids
         source, target = plan.source, plan.target
         computation, bits, stream = plan.computation, plan.bits, plan.stream
         successors = plan.successors
@@ -443,7 +442,7 @@ class CdcmScheduler:
             injection, index = heappop(heap)
             source_tile = tiles[source[index]]
             target_tile = tiles[target[index]]
-            path = path_of(source_tile, target_tile)
+            route = link_ids_of(source_tile, target_tile)
             stream_time = stream[index]
 
             start = injection
@@ -453,10 +452,9 @@ class CdcmScheduler:
                     start = available
                 free_local[source_tile] = start + stream_time
             head_arrival = start + tl
-            # Inter-router hops; the path has at least two routers, since
-            # the two endpoint cores sit on distinct tiles.
-            for position in range(len(path) - 1):
-                key = path[position] * n + path[position + 1]
+            # Inter-router hops, keyed by link id; the route crosses at least
+            # one link, since the two endpoint cores sit on distinct tiles.
+            for key in route:
                 link_start = head_arrival + tr
                 available = free_link.get(key, 0.0)
                 if available > head_arrival and available + tr > link_start:
@@ -475,7 +473,7 @@ class CdcmScheduler:
             delivery = link_start + stream_time
             if delivery > execution_time:
                 execution_time = delivery
-            traffic.append((bits[index], len(path)))
+            traffic.append((bits[index], len(route) + 1))
 
             for successor in successors[index]:
                 remaining[successor] -= 1

@@ -14,7 +14,8 @@ keeps as the oracle:
   :func:`~repro.codesign.load.max_link_load` and
   :func:`~repro.codesign.load.link_load_spread`, ``repr`` for ``repr``, on
   meshes, tori, a faulted irregular fabric, a synthesized co-design routing
-  table and a lazy route table;
+  table and a west-first routing (whose next-hop matrix is derived from
+  ``route()``);
 * :func:`~repro.search.genetic.uniform_assignment_crossover` against the
   scalar-coin loop: equal children and an equal generator state after every
   call.
@@ -51,7 +52,7 @@ from repro.eval.parallel import ProcessPoolBackend
 from repro.eval.route_table import RouteTable
 from repro.graphs.cwg import CWG, cwg_from_edges
 from repro.noc.platform import Platform
-from repro.noc.routing import TableRouting
+from repro.noc.routing import TableRouting, WestFirstRouting
 from repro.noc.topology import IrregularTopology, Mesh, Torus
 from repro.search.genetic import uniform_assignment_crossover
 from repro.search.population import fast_non_dominated_sort
@@ -207,13 +208,12 @@ def _fabric(name: str, width: int, height: int):
     elif name == "codesign":
         table = TableSynthesizer(mesh).random_table(rng=3)
         platform = Platform(mesh=mesh, routing=SynthesizedRouting(table))
-    else:  # "lazy": every route resolved on demand
-        platform = Platform(mesh=mesh)
-        return platform, RouteTable.for_platform(platform, precompute=False)
+    else:  # "west-first": the default next-hop matrix, derived from route()
+        platform = Platform(mesh=mesh, routing=WestFirstRouting())
     return platform, RouteTable.for_platform(platform)
 
 
-FABRICS = ("mesh", "torus", "faulted", "codesign", "lazy")
+FABRICS = ("mesh", "torus", "faulted", "codesign", "west-first")
 
 
 def _candidates(cwg: CWG, num_tiles: int, count: int, seed: int) -> List[Dict[str, int]]:
@@ -328,7 +328,7 @@ def test_link_incidence_lives_with_its_table():
 
 
 @pytest.mark.slow
-@pytest.mark.parametrize("name", ("mesh", "torus", "codesign", "lazy"))
+@pytest.mark.parametrize("name", ("mesh", "torus", "codesign", "west-first"))
 @given(seed=st.integers(0, 2**32 - 1))
 @settings(max_examples=4, deadline=None)
 def test_link_load_kernel_matches_helpers_long_haul(name, seed):

@@ -13,9 +13,11 @@ from repro.eval.context import (
     EvaluationContext,
 )
 from repro.eval.route_table import (
+    _TABLE_CACHE_LIMIT,
     RouteTable,
     clear_route_table_cache,
     get_route_table,
+    is_shared_route_table,
 )
 from repro.graphs.convert import cdcg_to_cwg
 from repro.graphs.cwg import CWG, cwg_from_edges
@@ -78,19 +80,6 @@ class TestRouteTable:
         with pytest.raises(ConfigurationError):
             table.hop_count(-1, 0)
 
-    def test_lazy_table_agrees_with_eager(self):
-        platform = Platform(mesh=Mesh(3, 4))
-        eager = RouteTable.for_platform(platform, precompute=True)
-        lazy = RouteTable.for_platform(platform, precompute=False)
-        assert eager.is_precomputed and not lazy.is_precomputed
-        assert lazy.flat_bit_energy() is None
-        for source in range(12):
-            for target in range(12):
-                assert lazy.path(source, target) == eager.path(source, target)
-                assert lazy.bit_energy(source, target) == eager.bit_energy(
-                    source, target
-                )
-
     def test_shared_cache_reuses_tables(self):
         clear_route_table_cache()
         platform = Platform(mesh=Mesh(3, 3))
@@ -101,6 +90,20 @@ class TestRouteTable:
         # A different routing class must not alias.
         other = get_route_table(platform.with_routing(YXRouting()))
         assert other is not table
+
+    def test_shared_cache_evicts_least_recently_used(self):
+        # A table hit between every insert stays shared however many other
+        # platforms pass through the cache.
+        clear_route_table_cache()
+        try:
+            hot = Platform(mesh=Mesh(2, 2))
+            table = get_route_table(hot)
+            for length in range(2, 2 + 2 * _TABLE_CACHE_LIMIT):
+                get_route_table(Platform(mesh=Mesh(1, length)))
+                assert get_route_table(hot) is table
+            assert is_shared_route_table(table, hot)
+        finally:
+            clear_route_table_cache()
 
     def test_flat_energy_is_row_major(self):
         platform = Platform(mesh=Mesh(2, 3))

@@ -18,6 +18,7 @@ import pickle
 import signal
 import time
 
+import numpy as np
 import pytest
 
 from repro.analysis.comparison import ComparisonConfig, compare_models
@@ -28,14 +29,8 @@ from repro.eval.parallel import (
     BatchBackend,
     ProcessPoolBackend,
     SerialBackend,
-    warm_route_table,
 )
-from repro.eval.route_table import (
-    RouteTable,
-    clear_route_table_cache,
-    get_route_table,
-    register_route_table,
-)
+from repro.eval.route_table import RouteTable, get_route_table
 from repro.graphs.convert import cdcg_to_cwg
 from repro.noc.platform import Platform
 from repro.noc.topology import Mesh, Torus
@@ -204,13 +199,22 @@ class TestContextPickling:
         from repro.eval.route_table import is_shared_route_table
 
         _, cwg, platform = workload
-        custom = RouteTable.for_platform(platform, precompute=True)
+        custom = RouteTable.for_platform(platform)
+        custom.path(0, 5)  # populate the per-pair memos
         context = CwmEvaluationContext(cwg, platform, route_table=custom)
         clone = pickle.loads(pickle.dumps(context))
         # A non-shared table must ship with the pickle (a worker-side rebuild
         # could resolve different routes for custom routing algorithms)...
         assert not is_shared_route_table(clone.route_table, platform)
-        assert clone.route_table.is_precomputed
+        shipped = clone.route_table
+        assert shipped._link_id_memo == shipped._route_memo == {}  # derived state
+        for ours, theirs in zip(
+            custom.as_arrays() + custom.link_incidence()[:2],
+            shipped.as_arrays() + shipped.link_incidence()[:2],
+        ):
+            assert np.array_equal(ours, theirs)
+            assert not theirs.flags.writeable
+        assert shipped.path(0, 5) == custom.path(0, 5)
         # ...while the default shared table is dropped and rebuilt.
         default_clone = pickle.loads(
             pickle.dumps(CwmEvaluationContext(cwg, platform))
@@ -317,47 +321,34 @@ class TestSearchDeterminism:
             ExhaustiveSearch(batch_size=0)
 
 
-class TestRouteTableWarmup:
-    def test_serial_and_sharded_tables_identical(self, pool):
-        platform = Platform(mesh=Torus(5, 4))
-        reference = RouteTable.for_platform(platform, precompute=True)
-        sharded = warm_route_table(platform, backend=pool, register=False)
-        n = platform.num_tiles
-        for source in range(n):
-            for target in range(n):
-                assert sharded.path(source, target) == reference.path(source, target)
-                assert sharded.bit_energy(source, target) == reference.bit_energy(
-                    source, target
-                )
-        assert sharded.is_precomputed
+def _build_table(platform: Platform) -> RouteTable:
+    """Pool task: build a table in a worker and ship it back."""
+    return RouteTable.for_platform(platform)
 
-    def test_warmup_registers_shared_table(self, pool):
-        platform = Platform(mesh=Mesh(5, 5))
-        clear_route_table_cache()
-        try:
-            table = warm_route_table(platform, backend=pool)
-            assert get_route_table(platform) is table
-        finally:
-            clear_route_table_cache()
 
-    def test_register_rejects_mismatched_table(self):
-        table = RouteTable.for_platform(Platform(mesh=Mesh(2, 2)))
-        with pytest.raises(ConfigurationError):
-            register_route_table(Platform(mesh=Mesh(3, 3)), table)
+class TestRouteTableBuild:
+    def test_worker_built_table_identical(self, pool):
+        platforms = [Platform(mesh=Torus(5, 4)), Platform(mesh=Mesh(4, 3))]
+        built = pool.map(_build_table, [(platform,) for platform in platforms])
+        for platform, table in zip(platforms, built):
+            reference = RouteTable.for_platform(platform)
+            n = platform.num_tiles
+            for source in range(n):
+                for target in range(n):
+                    assert table.path(source, target) == reference.path(
+                        source, target
+                    )
+                    assert table.bit_energy(source, target) == reference.bit_energy(
+                        source, target
+                    )
 
-    def test_from_tables_validates_lengths(self):
+    def test_next_hop_matrix_shape_validated(self, monkeypatch):
         platform = Platform(mesh=Mesh(2, 2))
-        with pytest.raises(ConfigurationError):
-            RouteTable.from_tables(
-                platform.mesh,
-                platform.routing,
-                platform.technology,
-                True,
-                [],
-                [],
-                [],
-                [],
-            )
+        monkeypatch.setattr(
+            type(platform.routing), "next_hop_matrix", lambda self, topology: np.zeros((3, 3))
+        )
+        with pytest.raises(ConfigurationError, match="expected \\(4, 4\\)"):
+            RouteTable.for_platform(platform)
 
 
 class TestComparisonNeverPools:

@@ -3,8 +3,8 @@
 The contract under test is **bit-identity**: the vectorised batch path must
 return the exact floats the per-candidate scalar accumulator
 (``CwmEvaluationContext._compute_metrics``) returns — same gathers, same
-left-to-right edge-order reduction — across topologies, table modes (eager
-and lazy), duplicate candidates and empty populations.  This mirrors how the
+left-to-right edge-order reduction — across topologies, duplicate
+candidates and empty populations.  This mirrors how the
 serial==pooled contract is pinned in ``tests/test_parallel.py``.
 """
 
@@ -28,7 +28,7 @@ from repro.noc.platform import Platform
 from repro.noc.routing import TableRouting, XYRouting
 from repro.noc.topology import IrregularTopology, Mesh, Torus
 from repro.search.genetic import GeneticParameters, GeneticSearch
-from repro.utils.errors import ConfigurationError, MappingError
+from repro.utils.errors import MappingError
 from repro.workloads.paper_example import paper_example_cdcg
 
 
@@ -125,7 +125,7 @@ class TestMappingArrayRoundTrip:
 class TestRouteTableDense:
     def test_eager_arrays_match_scalar_lookups(self):
         for platform in _PLATFORMS:
-            table = RouteTable.for_platform(platform, precompute=True)
+            table = RouteTable.for_platform(platform)
             energy, hops = table.as_arrays()
             n = table.num_tiles
             assert energy.shape == hops.shape == (n, n)
@@ -151,69 +151,16 @@ class TestRouteTableDense:
         with pytest.raises(ValueError):
             hops[0, 0] = 1
 
-    def test_cold_lazy_table_raises_until_warmed(self):
-        table = RouteTable.for_platform(
-            Platform(mesh=Mesh(3, 3)), precompute=False
-        )
-        assert not table.is_dense
-        with pytest.raises(ConfigurationError):
-            table.as_arrays()
-        table.warm_dense()
-        assert table.is_dense
-        assert table.flat_bit_energy() is not None
-
-    def test_warm_dense_matches_eager(self):
-        for platform in _PLATFORMS:
-            eager = RouteTable.for_platform(platform, precompute=True)
-            lazy = RouteTable.for_platform(platform, precompute=False)
-            lazy_energy, lazy_hops = lazy.warm_dense()
-            eager_energy, eager_hops = eager.as_arrays()
-            assert np.array_equal(lazy_energy, eager_energy)
-            assert np.array_equal(lazy_hops, eager_hops)
-            # Scalar lookups answer from the dense matrices afterwards.
-            assert lazy.bit_energy(1, 2) == eager.bit_energy(1, 2)
-            assert lazy.hop_count(2, 1) == eager.hop_count(2, 1)
-
-    def test_warm_dense_reuses_memoised_pairs(self, monkeypatch):
-        platform = Platform(mesh=Mesh(3, 3))
-        table = RouteTable.for_platform(platform, precompute=False)
-        # Memoise a handful of pairs, then count the routing calls the
-        # densify pass makes: exactly one per *missing* pair.
-        warmed = [(0, 5), (7, 2), (4, 4)]
-        for source, target in warmed:
-            table.bit_energy(source, target)
-        calls = []
-        original = type(table.routing).route
-
-        def counting_route(self, topology, source, target):
-            calls.append((source, target))
-            return original(self, topology, source, target)
-
-        monkeypatch.setattr(type(table.routing), "route", counting_route)
-        table.warm_dense()
-        assert len(calls) == table.num_tiles**2 - len(warmed)
-        assert not (set(warmed) & set(calls))
-        # Idempotent: a second call routes nothing.
-        calls.clear()
-        table.warm_dense()
-        assert calls == []
-
-    def test_warm_dense_is_noop_on_eager(self):
-        table = RouteTable.for_platform(Platform(mesh=Mesh(2, 2)))
-        energy, hops = table.warm_dense()
-        assert energy.base is table.flat_bit_energy()
-
 
 class TestVectorScalarBitIdentity:
-    @pytest.mark.parametrize("platform", _PLATFORMS, ids=lambda p: str(p.mesh))
-    @pytest.mark.parametrize("precompute", [True, False], ids=["eager", "lazy"])
-    def test_exact_equality_across_topologies_and_tables(
-        self, platform, precompute
-    ):
+    @pytest.mark.parametrize(
+        "platform", _PLATFORMS, ids=["mesh", "torus", "irregular"]
+    )
+    def test_exact_equality_across_topologies_and_tables(self, platform):
         for seed in range(5):
             rng = np.random.default_rng(seed)
             cwg = _random_cwg(rng, 6)
-            table = RouteTable.for_platform(platform, precompute=precompute)
+            table = RouteTable.for_platform(platform)
             vector = CwmEvaluationContext(cwg, platform, route_table=table)
             population = _population(cwg, platform.num_tiles, 100 + seed, 24)
             expected = [vector._compute_metrics(m) for m in population]
