@@ -27,7 +27,7 @@ import pytest
 
 from conftest import emit, record_sample
 from repro.core.mapping import Mapping
-from repro.core.objective import CountingObjective, cwm_objective
+from repro.core.objective import cwm_objective
 from repro.energy.bit_energy import bit_energy_route
 from repro.eval.context import CwmEvaluationContext
 from repro.graphs.convert import cdcg_to_cwg
@@ -63,7 +63,7 @@ def _legacy_cwm_objective(cwg, platform):
             total += comm.bits * bit_energy_route(technology, hops, True)
         return total
 
-    return CountingObjective(cost, name=f"legacy-cwm({cwg.name})")
+    return cost
 
 
 @pytest.mark.benchmark(group="eval-engine-pricing")

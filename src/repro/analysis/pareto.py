@@ -24,11 +24,10 @@ module turns priced candidate sets into energy/time fronts:
   :class:`~repro.search.nsga2.NSGA2Search` result's ``front``).
 
 Any vector-capable pricing source works: an
-:class:`~repro.eval.context.EvaluationContext`, a
-:class:`~repro.core.objective.CountingObjective` built by
+:class:`~repro.eval.context.EvaluationContext` or a
+:class:`~repro.core.objective.ScalarisedObjective` view (such as the ones
 :func:`~repro.core.objective.cwm_objective` /
-:func:`~repro.core.objective.cdcm_objective`, or a
-:class:`~repro.core.objective.ScalarisedObjective` view.
+:func:`~repro.core.objective.cdcm_objective` build).
 """
 
 from __future__ import annotations

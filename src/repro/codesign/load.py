@@ -124,14 +124,14 @@ class LoadAwareCwmContext(CwmEvaluationContext):
     :class:`~repro.eval.parallel.ProcessPoolBackend` rebuilds an identical
     context and stays bit-identical to serial pricing.
 
-    Incremental swap pricing: the scalar :meth:`delta` stays exact (the
-    scalar cost is the energy component alone), but per-component deltas are
-    disabled — a swap moves link loads non-locally and the parent's
-    one-component ``metric_delta`` would silently report the wrong shape.
+    Incremental swap pricing: the inherited :meth:`delta` stays exact for
+    the ``dynamic_energy`` component (the inherited ``delta_metric``), so a
+    view weighting energy alone prices swaps in O(degree); a swap moves link
+    loads non-locally, so a view with weight on a load component prices
+    every move in full.
     """
 
     metric_names = LOAD_METRIC_NAMES
-    supports_metric_delta = False
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
@@ -202,15 +202,6 @@ class LoadAwareCwmContext(CwmEvaluationContext):
             MetricVector(LOAD_METRIC_NAMES, values)
             for values in zip(energies, peaks, spreads)
         ]
-
-    def metric_delta(
-        self, mapping: Mapping, tile_a: int, tile_b: int
-    ) -> MetricVector:
-        raise NotImplementedError(
-            "LoadAwareCwmContext does not support incremental metric-delta "
-            "evaluation: swaps move link loads non-locally; check "
-            "supports_metric_delta before calling metric_delta()"
-        )
 
 
 __all__ = [

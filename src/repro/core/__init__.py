@@ -9,10 +9,9 @@
   and total (static + dynamic) energy (equations 4–10);
 * :mod:`~repro.core.metrics` — named :class:`~repro.core.metrics.MetricVector`
   components and scalarisation weights, the vector-valued objective core;
-* :mod:`~repro.core.objective` — objective-function adapters binding an
-  application and platform so search engines only see ``mapping -> cost``,
-  plus :class:`~repro.core.objective.ScalarisedObjective` weight views over
-  a shared memo;
+* :mod:`~repro.core.objective` — :class:`~repro.core.objective.ScalarisedObjective`
+  weight views binding an application and platform over a shared memo, so
+  search engines only see ``mapping -> cost``;
 * :class:`~repro.core.framework.FRWFramework` — the front-end tying an
   application, a platform, a model (CWM/CDCM) and a search method (exhaustive
   search or simulated annealing) together, mirroring the paper's FRW
@@ -30,7 +29,6 @@ from repro.core.metrics import (
 from repro.core.cwm import CwmEvaluator, CwmReport
 from repro.core.cdcm import CdcmEvaluator, CdcmReport
 from repro.core.objective import (
-    CountingObjective,
     ScalarisedObjective,
     VectorObjective,
     cwm_objective,
@@ -49,7 +47,6 @@ __all__ = [
     "CwmReport",
     "CdcmEvaluator",
     "CdcmReport",
-    "CountingObjective",
     "ScalarisedObjective",
     "VectorObjective",
     "cwm_objective",

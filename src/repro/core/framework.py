@@ -26,12 +26,7 @@ from repro.core.cdcm import CdcmReport
 from repro.core.cwm import CwmEvaluator
 from repro.core.mapping import Mapping
 from repro.core.metrics import MetricVector
-from repro.core.objective import (
-    CountingObjective,
-    ScalarisedObjective,
-    cdcm_objective,
-    cwm_objective,
-)
+from repro.core.objective import ScalarisedObjective
 from repro.energy.technology import Technology
 from repro.eval.context import CdcmEvaluationContext, CwmEvaluationContext
 from repro.eval.route_table import get_route_table
@@ -175,35 +170,33 @@ class FRWFramework:
         model:
             ``"cwm"`` or ``"cdcm"``.
         weights:
-            Optional ``{metric_name: weight}`` scalarisation.  When omitted a
-            :class:`~repro.core.objective.CountingObjective` with the model's
-            default weight view is returned (bit-identical to the legacy
-            scalar objective); when given, a
-            :class:`~repro.core.objective.ScalarisedObjective` view over the
-            fresh context is returned instead — derive more views from its
+            Optional ``{metric_name: weight}`` scalarisation; the model's
+            default weight view (bit-identical to the legacy scalar
+            objective) when omitted.  Derive more views from the returned
+            :class:`~repro.core.objective.ScalarisedObjective`'s
             :meth:`~repro.core.objective.ScalarisedObjective.with_weights`
             to sweep weight vectors off one shared memo.
         """
         if model == "cwm":
-            context = CwmEvaluationContext(
-                self.cwg,
-                self.platform,
-                route_table=self.route_table,
-                backend=self._backend,
+            return ScalarisedObjective(
+                CwmEvaluationContext(
+                    self.cwg,
+                    self.platform,
+                    route_table=self.route_table,
+                    backend=self._backend,
+                ),
+                weights,
             )
-            if weights is not None:
-                return ScalarisedObjective(context, weights)
-            return cwm_objective(self.cwg, self.platform, context=context)
         if model == "cdcm":
-            context = CdcmEvaluationContext(
-                self.cdcg,
-                self.platform,
-                route_table=self.route_table,
-                backend=self._backend,
+            return ScalarisedObjective(
+                CdcmEvaluationContext(
+                    self.cdcg,
+                    self.platform,
+                    route_table=self.route_table,
+                    backend=self._backend,
+                ),
+                weights,
             )
-            if weights is not None:
-                return ScalarisedObjective(context, weights)
-            return cdcm_objective(self.cdcg, self.platform, context=context)
         raise ConfigurationError(
             f"unknown model {model!r}; expected one of {_MODELS}"
         )

@@ -9,26 +9,25 @@ components (energy terms, CDCM makespan), the shared
 scalars are derived by applying a weight vector — so K scalarisations of one
 candidate cost one pricing pass, not K.
 
-Three adapters bind that machinery into the engine-facing contract:
+Two pieces bind that machinery into the engine-facing contract:
 
-* :class:`CountingObjective` — the legacy-compatible wrapper produced by
-  :func:`cwm_objective` / :func:`cdcm_objective`; scalarises with the bound
-  context's own weight view (bit-identical to the pre-vector objectives) and
-  counts evaluation effort for the Section 5 CPU-cost comparison;
-* :class:`ScalarisedObjective` — a lightweight weight-vector view over a
-  shared context.  Several views over one context share its memo, which is
-  what makes Pareto weight sweeps (:mod:`repro.analysis.pareto`) essentially
-  free after the first pricing pass;
-* :class:`VectorObjective` — the structural protocol both adapters and the
-  contexts themselves satisfy (``metric_names`` / ``metrics`` /
+* :class:`ScalarisedObjective` — the one adapter: a weight-vector view over a
+  shared context that counts evaluation effort for the Section 5 CPU-cost
+  comparison.  :func:`cwm_objective` / :func:`cdcm_objective` return views
+  with the context's own weights (bit-identical to the pre-vector
+  objectives); several views over one context share its memo, which is what
+  makes Pareto weight sweeps (:mod:`repro.analysis.pareto`) essentially free
+  after the first pricing pass;
+* :class:`VectorObjective` — the structural protocol views and the contexts
+  themselves satisfy (``metric_names`` / ``metrics`` /
   ``evaluate_metrics_batch``), the seam Pareto tooling and custom
   multi-objective drivers program against.
 
 Delta-aware engines (simulated annealing, greedy refinement) additionally
 call ``delta`` when ``supports_delta`` is True, and population-based engines
 (genetic, exhaustive) call ``evaluate_batch`` when ``supports_batch`` is
-True; both adapters forward these to the bound context — batches optionally
-through a :class:`~repro.eval.parallel.BatchBackend`.
+True; views forward these to the bound context — batches optionally through
+a :class:`~repro.eval.parallel.BatchBackend`.
 """
 
 from __future__ import annotations
@@ -68,9 +67,8 @@ ObjectiveFunction = Callable[[Mapping], float]
 class VectorObjective(Protocol):
     """Structural protocol of vector-valued pricing sources.
 
-    Satisfied by :class:`~repro.eval.context.EvaluationContext` subclasses,
-    :class:`CountingObjective` (when bound to a context) and
-    :class:`ScalarisedObjective`.  Pareto tooling and weight-sweep drivers
+    Satisfied by :class:`~repro.eval.context.EvaluationContext` subclasses
+    and :class:`ScalarisedObjective`.  Pareto tooling and weight-sweep drivers
     program against this seam and never care which concrete adapter they
     were handed.
     """
@@ -135,176 +133,6 @@ def resolve_vector_source(source):
     )
 
 
-class CountingObjective:
-    """Wrap an objective function, counting calls and accumulating CPU time.
-
-    Parameters
-    ----------
-    function:
-        The underlying ``mapping -> cost`` callable.
-    name:
-        Identifier used in reports.
-    context:
-        Optional bound :class:`~repro.eval.context.EvaluationContext`; when
-        present the wrapper advertises the context's delta and batch
-        capabilities to search engines and exposes the vector half of the
-        protocol (:meth:`metrics` / :meth:`evaluate_metrics_batch`).
-
-    Attributes
-    ----------
-    evaluations:
-        Number of full evaluations charged: one per :meth:`__call__` plus one
-        per candidate priced through :meth:`evaluate_batch`.
-    delta_evaluations:
-        Number of incremental :meth:`delta` calls (0 for contexts without
-        delta support or plain callables).
-    elapsed:
-        Total wall-clock seconds spent inside the wrapped function, the
-        delta evaluator and batch pricing (for pooled batches this is the
-        caller-side wall time, not the summed worker CPU time).
-    """
-
-    def __init__(
-        self,
-        function: ObjectiveFunction,
-        name: str = "objective",
-        context: Optional[EvaluationContext] = None,
-    ) -> None:
-        self._function = function
-        self._context = context
-        self.name = name
-        self.evaluations = 0
-        self.delta_evaluations = 0
-        self.elapsed = 0.0
-
-    def __call__(self, mapping: Mapping) -> float:
-        start = time.perf_counter()
-        try:
-            return self._function(mapping)
-        finally:
-            self.elapsed += time.perf_counter() - start
-            self.evaluations += 1
-
-    # ------------------------------------------------------------------
-    # Evaluation-engine passthrough
-    # ------------------------------------------------------------------
-    @property
-    def context(self) -> Optional[EvaluationContext]:
-        """The bound evaluation context, if any."""
-        return self._context
-
-    @property
-    def metric_names(self) -> Tuple[str, ...]:
-        """Component names of the bound context (empty for plain callables)."""
-        return self._context.metric_names if self._context is not None else ()
-
-    @property
-    def supports_delta(self) -> bool:
-        """True when :meth:`delta` returns exact incremental costs."""
-        return self._context is not None and self._context.supports_delta
-
-    @property
-    def supports_batch(self) -> bool:
-        """True when :meth:`evaluate_batch` routes through a shared context."""
-        return self._context is not None
-
-    def metrics(self, mapping: Union[Mapping, Dict[str, int]]) -> MetricVector:
-        """Named component vector of *mapping* through the bound context.
-
-        A passthrough that shares the context memo and deliberately leaves
-        the Section 5 effort counters untouched — they keep mirroring the
-        scalar pricing effort exactly as the pre-vector wrapper did.
-        """
-        return self._require_context("price metric vectors").metrics(mapping)
-
-    def evaluate_metrics_batch(
-        self,
-        mappings: Iterable[Union[Mapping, Dict[str, int]]],
-        backend=None,
-    ) -> List[MetricVector]:
-        """Component vectors of several candidates through the bound context.
-
-        Uncounted passthrough, like :meth:`metrics`.
-        """
-        return self._require_context(
-            "price metric vectors"
-        ).evaluate_metrics_batch(mappings, backend=backend)
-
-    def scalarised(
-        self, weights: Dict[str, float], name: Optional[str] = None
-    ) -> "ScalarisedObjective":
-        """A :class:`ScalarisedObjective` view sharing this objective's context."""
-        return ScalarisedObjective(
-            self._require_context("derive scalarisation views"),
-            weights,
-            name=name,
-        )
-
-    def evaluate_batch(
-        self,
-        mappings: Iterable[Union[Mapping, Dict[str, int]]],
-        backend=None,
-    ) -> List[float]:
-        """Price several candidates through the bound context in one call.
-
-        Parameters
-        ----------
-        mappings:
-            Candidates to price, in order.
-        backend:
-            Optional :class:`~repro.eval.parallel.BatchBackend` override
-            forwarded to
-            :meth:`~repro.eval.context.EvaluationContext.evaluate_batch`.
-
-        Returns
-        -------
-        list of float
-            One cost per candidate, bit-identical to per-candidate calls.
-        """
-        context = self._require_context("price batches")
-        items = list(mappings)
-        start = time.perf_counter()
-        try:
-            return context.evaluate_batch(items, backend=backend)
-        finally:
-            self.elapsed += time.perf_counter() - start
-            self.evaluations += len(items)
-
-    def delta(self, mapping: Mapping, tile_a: int, tile_b: int) -> float:
-        """Exact cost change of ``mapping.swap_tiles(tile_a, tile_b)``."""
-        context = self._require_context("price incremental moves")
-        start = time.perf_counter()
-        try:
-            return context.delta(mapping, tile_a, tile_b)
-        finally:
-            self.elapsed += time.perf_counter() - start
-            self.delta_evaluations += 1
-
-    def cache_info(self) -> Optional[CacheInfo]:
-        """Memo statistics of the bound context (None for plain callables)."""
-        return self._context.cache_info() if self._context is not None else None
-
-    def reset(self) -> None:
-        """Zero the counters (e.g. between search runs)."""
-        self.evaluations = 0
-        self.delta_evaluations = 0
-        self.elapsed = 0.0
-
-    def _require_context(self, action: str) -> EvaluationContext:
-        if self._context is None:
-            raise NotImplementedError(
-                f"objective {self.name!r} has no evaluation context and cannot "
-                f"{action}; call it per mapping instead"
-            )
-        return self._context
-
-    def __repr__(self) -> str:
-        return (
-            f"CountingObjective(name={self.name!r}, evaluations={self.evaluations}, "
-            f"elapsed={self.elapsed:.3f}s)"
-        )
-
-
 class ScalarisedObjective:
     """A weight-vector view over a shared vector-valued pricing source.
 
@@ -318,42 +146,71 @@ class ScalarisedObjective:
     per unique candidate — the property Pareto weight sweeps rely on, pinned
     by ``tests/test_pareto.py``.
 
+    Swaps are priced incrementally when every non-zero weight of the view
+    sits on the context's ``delta_metric``: the view's :meth:`delta` is then
+    ``weight * context.delta(...)``, which is exactly what scalarising a
+    one-component change would give.
+
     Parameters
     ----------
     source:
         An :class:`~repro.eval.context.EvaluationContext`, or any objective
-        exposing one through a ``context`` attribute
-        (:class:`CountingObjective` does).
+        exposing one through a ``context`` attribute (views do).  Calls
+        price through the source's ``cost(mapping, weights)``.
     weights:
         ``{metric_name: weight}`` over the source's ``metric_names``; checked
-        by :func:`~repro.core.metrics.validate_weights`.
+        by :func:`~repro.core.metrics.validate_weights`.  Defaults to the
+        source's own ``weights``.
     name:
-        Identifier used in reports; derived from the source and the weights
-        when omitted.
+        Identifier used in reports; defaults to the source's name, with the
+        weights appended when they are given.
 
     Attributes
     ----------
-    evaluations, delta_evaluations, elapsed:
-        CountingObjective-style effort counters of this view (scalarisation
-        calls, not underlying pricing passes — those are visible in the
-        shared context's :meth:`cache_info`).
+    evaluations:
+        Full evaluations charged: one per call plus one per candidate priced
+        through :meth:`evaluate_batch` (scalarisation calls, not underlying
+        pricing passes — those are visible in the shared context's
+        :meth:`cache_info`).
+    delta_evaluations:
+        Number of incremental :meth:`delta` calls.
+    elapsed:
+        Total wall-clock seconds spent in calls, deltas and batch pricing
+        (for pooled batches this is the caller-side wall time, not the
+        summed worker CPU time).
     """
 
     def __init__(
         self,
         source,
-        weights: Dict[str, float],
+        weights: Optional[Dict[str, float]] = None,
         name: Optional[str] = None,
     ) -> None:
         context = resolve_vector_source(source)
         self._context = context
-        self.weights = validate_weights(weights, tuple(context.metric_names))
+        own_weights = weights is None
+        self.weights = validate_weights(
+            getattr(context, "weights", {}) if own_weights else weights,
+            tuple(context.metric_names),
+        )
         if name is None:
-            label = ",".join(
-                f"{key}={value:g}" for key, value in self.weights.items()
-            )
-            name = f"{getattr(context, 'name', 'objective')}[{label}]"
+            name = getattr(context, "name", "objective")
+            if not own_weights:
+                label = ",".join(
+                    f"{key}={value:g}" for key, value in self.weights.items()
+                )
+                name = f"{name}[{label}]"
         self.name = name
+        delta_metric = getattr(context, "delta_metric", None)
+        on_delta_metric = delta_metric is not None and all(
+            value == 0.0
+            for key, value in self.weights.items()
+            if key != delta_metric
+        )
+        #: Weight of ``delta_metric`` when swaps can be priced incrementally.
+        self._delta_weight = (
+            self.weights[delta_metric] if on_delta_metric else None
+        )
         self.evaluations = 0
         self.delta_evaluations = 0
         self.elapsed = 0.0
@@ -364,9 +221,7 @@ class ScalarisedObjective:
     def __call__(self, mapping: Union[Mapping, Dict[str, int]]) -> float:
         start = time.perf_counter()
         try:
-            return self._context.metrics(mapping).weighted_sum(
-                self.weights, strict=False
-            )
+            return self._context.cost(mapping, self.weights)
         finally:
             self.elapsed += time.perf_counter() - start
             self.evaluations += 1
@@ -383,11 +238,8 @@ class ScalarisedObjective:
 
     @property
     def supports_delta(self) -> bool:
-        """True when the context prices per-component swap deltas exactly."""
-        return bool(
-            self._context.supports_delta
-            and getattr(self._context, "supports_metric_delta", False)
-        )
+        """True when the view's weight sits on the context's ``delta_metric``."""
+        return self._delta_weight is not None
 
     @property
     def supports_batch(self) -> bool:
@@ -430,11 +282,14 @@ class ScalarisedObjective:
 
     def delta(self, mapping: Mapping, tile_a: int, tile_b: int) -> float:
         """Weighted exact cost change of swapping two tiles' contents."""
+        if self._delta_weight is None:
+            raise NotImplementedError(
+                f"objective {self.name!r} cannot price swaps incrementally; "
+                f"check supports_delta before calling delta()"
+            )
         start = time.perf_counter()
         try:
-            return self._context.metric_delta(
-                mapping, tile_a, tile_b
-            ).weighted_sum(self.weights, strict=False)
+            return self._delta_weight * self._context.delta(mapping, tile_a, tile_b)
         finally:
             self.elapsed += time.perf_counter() - start
             self.delta_evaluations += 1
@@ -477,28 +332,18 @@ class ScalarisedObjective:
         )
 
 
-def _bind_context(context: EvaluationContext) -> CountingObjective:
-    """Bind a context into the counting wrapper every engine consumes.
-
-    The single place the legacy factories share: the wrapper scalarises with
-    the context's own weight view (``context.cost``), which keeps it
-    bit-identical to the pre-vector scalar objectives.
-    """
-    return CountingObjective(context.cost, name=context.name, context=context)
-
-
 def cwm_objective(
     cwg: CWG,
     platform: Platform,
     include_local: bool = True,
     cache_size: int = DEFAULT_CACHE_SIZE,
     context: Optional[CwmEvaluationContext] = None,
-) -> CountingObjective:
+) -> ScalarisedObjective:
     """Objective minimising CWM dynamic energy (equation 3).
 
-    A compatibility shim over the vector core: the returned wrapper
-    scalarises the context's single ``dynamic_energy`` component with unit
-    weight, bit-identical to the pre-vector objective.
+    A view with the context's own weights: it scalarises the single
+    ``dynamic_energy`` component with unit weight, bit-identical to the
+    pre-vector objective.
 
     Parameters
     ----------
@@ -516,7 +361,7 @@ def cwm_objective(
 
     Returns
     -------
-    CountingObjective
+    ScalarisedObjective
         Supports exact incremental swap deltas (``supports_delta``) and bulk
         pricing (``supports_batch``) — see
         :class:`~repro.eval.context.CwmEvaluationContext`.
@@ -525,7 +370,7 @@ def cwm_objective(
         context = CwmEvaluationContext(
             cwg, platform, include_local=include_local, cache_size=cache_size
         )
-    return _bind_context(context)
+    return ScalarisedObjective(context)
 
 
 def cdcm_objective(
@@ -537,10 +382,10 @@ def cdcm_objective(
     include_local: bool = True,
     cache_size: int = DEFAULT_CACHE_SIZE,
     context: Optional[CdcmEvaluationContext] = None,
-) -> CountingObjective:
+) -> ScalarisedObjective:
     """Objective minimising CDCM total energy (equation 10) or execution time.
 
-    A compatibility shim over the vector core: the legacy ``metric`` /
+    A view with the context's own weights: the legacy ``metric`` /
     ``energy_weight`` / ``time_weight`` knobs are translated to a weight
     view by :func:`~repro.core.metrics.scalarisation_weights` and applied to
     the context's memoised component vectors, bit-identical to the
@@ -567,7 +412,7 @@ def cdcm_objective(
         Optional pre-built context to share across objectives.
     Returns
     -------
-    CountingObjective
+    ScalarisedObjective
         Supports bulk pricing (``supports_batch``) but no swap delta:
         contention makes CDCM cost global, so every move is priced by a
         complete (trace-free) replay.
@@ -582,13 +427,12 @@ def cdcm_objective(
             include_local=include_local,
             cache_size=cache_size,
         )
-    return _bind_context(context)
+    return ScalarisedObjective(context)
 
 
 __all__ = [
     "ObjectiveFunction",
     "VectorObjective",
-    "CountingObjective",
     "ScalarisedObjective",
     "resolve_vector_source",
     "cwm_objective",

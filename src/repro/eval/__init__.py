@@ -15,10 +15,13 @@ that cost.  The engine is split into a static and a dynamic half:
   :func:`~repro.eval.route_table.get_route_table`, and consumed by the CWM
   evaluator, the CDCM scheduler, the greedy constructor and the benchmarks.
 * :class:`~repro.eval.context.EvaluationContext` (dynamic) — binds an
-  application to a platform and prices mappings: ``cost(mapping)`` with an
-  LRU memo keyed by the mapping assignment, ``delta(mapping, tile_a, tile_b)``
-  (exact incremental cost of a tile swap, when the model supports it) and
-  ``evaluate_batch(mappings)``.
+  application to a platform and prices mappings: ``metrics(mapping)`` (the
+  named component vector) with an LRU memo keyed by the mapping assignment,
+  ``evaluate_metrics_batch(mappings)`` (one deduplicated pass over a batch),
+  the scalar views ``cost(mapping, weights=None)`` and
+  ``evaluate_batch(mappings)`` derived from them, and
+  ``delta(mapping, tile_a, tile_b)`` — the exact change of the context's
+  ``delta_metric`` under a tile swap, when the model has one.
 
 Model-specific contexts:
 
@@ -31,9 +34,10 @@ Model-specific contexts:
   run trace-free by :meth:`~repro.noc.scheduler.CdcmScheduler.price` (plus
   route table and memo); there is no swap delta.
 
-A third, parallel half (:mod:`repro.eval.parallel`) makes ``evaluate_batch``
-pluggable: a :class:`~repro.eval.parallel.BatchBackend` decides where the
-uncached candidates of a batch are priced —
+A third, parallel half (:mod:`repro.eval.parallel`) makes
+``evaluate_metrics_batch`` pluggable: a
+:class:`~repro.eval.parallel.BatchBackend` decides where the uncached
+candidates of a batch are priced —
 :class:`~repro.eval.parallel.SerialBackend` inline,
 :class:`~repro.eval.parallel.ProcessPoolBackend` across a process pool
 (contexts pickle light; workers rebuild route tables locally).
@@ -45,11 +49,12 @@ as flat edge arrays over the route table's dense matrices
 ``(pop, cores)`` population per call — bit-identical to the scalar
 accumulator, so every CWM batch miss is priced through it.
 
-Search engines discover delta support through the objective's
-``supports_delta`` attribute (see :func:`repro.search.base.delta_callable`),
-batch support through ``supports_batch`` (see
-:func:`repro.search.base.batch_callable`), and fall back to full evaluation
-otherwise, so custom objectives keep working unchanged.
+Search engines price through :class:`~repro.core.objective.ScalarisedObjective`
+views and discover delta support through the objective's ``supports_delta``
+attribute (see :func:`repro.search.base.delta_callable`), batch support
+through ``supports_batch`` (see :func:`repro.search.base.batch_callable`),
+and fall back to full evaluation otherwise, so custom objectives keep working
+unchanged.
 """
 
 from repro.eval.route_table import (

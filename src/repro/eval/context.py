@@ -14,11 +14,11 @@ an already-priced population for free.  The context exposes:
   applying the context's :attr:`EvaluationContext.weights` to the memoised
   vector (for the default weights this is bit-identical to the pre-vector
   scalar memo);
-* :meth:`EvaluationContext.delta` — for contexts that support it, the *exact*
-  incremental cost of swapping the contents of two tiles, computed from the
-  edges incident to the moved cores only (O(degree) instead of O(edges));
-  :meth:`EvaluationContext.metric_delta` is the per-component variant
-  scalarisation views price swaps through;
+* :meth:`EvaluationContext.delta` — for contexts that declare a
+  :attr:`EvaluationContext.delta_metric`, the *exact* change of that component
+  when the contents of two tiles swap, computed from the edges incident to the
+  moved cores only (O(degree) instead of O(edges)); scalarisation views whose
+  weight sits on that component price swaps as ``weight * delta``;
 * :meth:`EvaluationContext.evaluate_batch` /
   :meth:`EvaluationContext.evaluate_metrics_batch` — bulk pricing of many
   candidates (population-based engines, sweep drivers), sharing the same
@@ -117,11 +117,11 @@ class EvaluationContext(ABC):
     :attr:`weights` view; the base class provides the LRU vector memo, the
     derived scalar operations, batch evaluation (optionally fanned out over
     a :class:`~repro.eval.parallel.BatchBackend`) and the (optional) delta
-    protocol.  Engines discover delta support through the ``supports_delta``
-    attribute — see :func:`repro.search.base.delta_callable` — and batch
-    support through ``supports_batch`` / :func:`repro.search.base.batch_callable`;
-    Pareto tooling consumes the vector half of the protocol
-    (:meth:`metrics` / :meth:`evaluate_metrics_batch`).
+    protocol: a context that prices swaps incrementally names the component
+    its :meth:`delta` measures in :attr:`delta_metric`.  Engines reach both
+    through :class:`~repro.core.objective.ScalarisedObjective` views; Pareto
+    tooling consumes the vector half of the protocol (:meth:`metrics` /
+    :meth:`evaluate_metrics_batch`).
 
     Parameters
     ----------
@@ -135,19 +135,9 @@ class EvaluationContext(ABC):
     #: Human-readable identifier used in reports and benchmark tables.
     name: str = "context"
 
-    #: Whether :meth:`delta` returns exact incremental costs.
-    supports_delta: bool = False
-
-    #: Whether :meth:`metric_delta` returns exact per-component deltas
-    #: (the capability scalarisation views need to re-weight swap pricing).
-    supports_metric_delta: bool = False
-
-    #: Whether inline (backend-free) batches should be deduplicated and
-    #: priced through :meth:`_compute_metrics_chunk` instead of per-candidate
-    #: :meth:`metrics` calls.  Contexts with an array pricing path (see
-    #: :mod:`repro.eval.vector`) set this; the base default keeps the
-    #: per-candidate inline path.
-    _chunked_inline: bool = False
+    #: The component whose exact swap change :meth:`delta` returns, or
+    #: ``None`` when the context has no incremental pricing.
+    delta_metric: Optional[str] = None
 
     #: Names of the components :meth:`metrics` produces, in scalarisation
     #: accumulation order.  Set by concrete subclasses.
@@ -176,6 +166,11 @@ class EvaluationContext(ABC):
     def backend(self) -> Optional["BatchBackend"]:
         """The default batch backend (``None`` means inline pricing)."""
         return self._backend
+
+    @property
+    def supports_delta(self) -> bool:
+        """Whether :meth:`delta` prices swaps (a :attr:`delta_metric` is set)."""
+        return self.delta_metric is not None
 
     # ------------------------------------------------------------------
     # Pricing
@@ -207,17 +202,25 @@ class EvaluationContext(ABC):
             memo.move_to_end(mapping)
         return vector
 
-    def cost(self, mapping: Union[Mapping, Dict[str, int]]) -> float:
+    def cost(
+        self,
+        mapping: Union[Mapping, Dict[str, int]],
+        weights: Optional[Dict[str, float]] = None,
+    ) -> float:
         """Scalar objective value of *mapping* (lower is better), memoised.
 
-        Derived: the context's :attr:`weights` applied to
-        :meth:`metrics` — bit-identical to the pre-vector scalar memo for
-        the default single-metric weight views.
+        Derived: *weights* (the context's own :attr:`weights` when omitted)
+        applied to :meth:`metrics` — bit-identical to the pre-vector scalar
+        memo for the default single-metric weight views.
         """
-        return self._scalarise(self.metrics(mapping))
+        return self._scalarise(self.metrics(mapping), weights)
 
-    def _scalarise(self, vector: MetricVector) -> float:
-        """Apply the context's weight view to a component vector."""
+    def _scalarise(
+        self, vector: MetricVector, weights: Optional[Dict[str, float]] = None
+    ) -> float:
+        """Apply *weights* (default: the context's weight view) to a vector."""
+        if weights is not None:
+            return vector.weighted_sum(weights, strict=False)
         if not self.weights:
             # An empty view would silently price every mapping at 0.0 — a
             # subclass forgot to set self.weights in its constructor.
@@ -229,30 +232,15 @@ class EvaluationContext(ABC):
         return vector.weighted_sum(self.weights, strict=False)
 
     def delta(self, mapping: Mapping, tile_a: int, tile_b: int) -> float:
-        """Exact cost change of ``mapping.swap_tiles(tile_a, tile_b)``.
+        """Exact :attr:`delta_metric` change of ``mapping.swap_tiles(tile_a, tile_b)``.
 
-        Only available when ``supports_delta`` is True; the base class always
-        raises so engines that ignore the capability flag fail loudly instead
-        of silently pricing with a wrong model.
+        Only available when :attr:`delta_metric` is set; the base class always
+        raises so engines that ignore the capability fail loudly instead of
+        silently pricing with a wrong model.
         """
         raise NotImplementedError(
             f"{type(self).__name__} does not support incremental delta "
             f"evaluation; check supports_delta before calling delta()"
-        )
-
-    def metric_delta(
-        self, mapping: Mapping, tile_a: int, tile_b: int
-    ) -> MetricVector:
-        """Exact per-component change of ``mapping.swap_tiles(tile_a, tile_b)``.
-
-        Only available when ``supports_metric_delta`` is True; scalarisation
-        views use it to re-weight incremental swap pricing without a full
-        re-evaluation.
-        """
-        raise NotImplementedError(
-            f"{type(self).__name__} does not support incremental metric-delta "
-            f"evaluation; check supports_metric_delta before calling "
-            f"metric_delta()"
         )
 
     def scalarised(
@@ -278,7 +266,8 @@ class EvaluationContext(ABC):
         deduplicated and priced as one chunk — by the backend when one is
         active, else inline through :meth:`_compute_metrics_chunk` (which the
         vectorised CWM context turns into a single array-kernel call) — then
-        written back to the memo.  Vectors are bit-identical to per-candidate
+        written back to the memo, so a candidate repeated within one batch is
+        priced once.  Vectors are bit-identical to per-candidate
         :meth:`metrics` calls regardless of the backend — only *where* the
         arithmetic runs changes.
 
@@ -297,9 +286,6 @@ class EvaluationContext(ABC):
             One component vector per candidate, in input order.
         """
         active = backend if backend is not None else self._backend
-        if active is None and not self._chunked_inline:
-            return [self.metrics(mapping) for mapping in mappings]
-
         items = list(mappings)
         memo = self._memo
         use_memo = self._cache_size > 0
@@ -369,17 +355,10 @@ class EvaluationContext(ABC):
         list of float
             One cost per candidate, in input order.
         """
-        active = backend if backend is not None else self._backend
-        if active is None:
-            return [self.cost(mapping) for mapping in mappings]
         return [
             self._scalarise(vector)
-            for vector in self.evaluate_metrics_batch(mappings, backend=active)
+            for vector in self.evaluate_metrics_batch(mappings, backend=backend)
         ]
-
-    def _compute_cost(self, mapping: Union[Mapping, Dict[str, int]]) -> float:
-        """Uncached objective value of *mapping* (derived from the vector)."""
-        return self._scalarise(self._compute_metrics(mapping))
 
     @abstractmethod
     def _compute_metrics(
@@ -456,9 +435,7 @@ class CwmEvaluationContext(EvaluationContext):
     with the pickle so pooled pricing stays bit-identical to serial.
     """
 
-    supports_delta = True
-    supports_metric_delta = True
-    _chunked_inline = True
+    delta_metric = "dynamic_energy"
     metric_names = CWM_METRIC_NAMES
 
     def __init__(
@@ -627,7 +604,7 @@ class CwmEvaluationContext(EvaluationContext):
         ]
 
     def delta(self, mapping: Mapping, tile_a: int, tile_b: int) -> float:
-        """Exact CWM cost change of swapping the contents of two tiles.
+        """Exact CWM energy change of swapping the contents of two tiles.
 
         Only the CWG edges incident to the cores on ``tile_a``/``tile_b`` can
         change price, so the swap is priced in O(degree) — the enabler of the
@@ -682,19 +659,6 @@ class CwmEvaluationContext(EvaluationContext):
             )
         return total
 
-    def metric_delta(
-        self, mapping: Mapping, tile_a: int, tile_b: int
-    ) -> MetricVector:
-        """Per-component variant of :meth:`delta` (one component under CWM).
-
-        Scalarisation views re-weight this vector instead of calling
-        :meth:`delta`, so a view with a non-unit weight still prices swaps in
-        O(degree).
-        """
-        return MetricVector(
-            CWM_METRIC_NAMES, (self.delta(mapping, tile_a, tile_b),)
-        )
-
 
 class CdcmEvaluationContext(EvaluationContext):
     """Memoised CDCM pricing over the shared route table.
@@ -703,8 +667,9 @@ class CdcmEvaluationContext(EvaluationContext):
     run by the scheduler's trace-free pricing replay
     (:meth:`~repro.noc.scheduler.CdcmScheduler.price`) over the shared
     :class:`~repro.eval.route_table.RouteTable`.  The context has no swap
-    delta (``supports_delta`` is False), so swap-based engines price each
-    move with the exact memoised :meth:`EvaluationContext.cost`.
+    delta (:attr:`~EvaluationContext.delta_metric` is ``None``), so swap-based
+    engines price each move with the exact memoised
+    :meth:`EvaluationContext.cost`.
 
     Parameters
     ----------
@@ -737,7 +702,6 @@ class CdcmEvaluationContext(EvaluationContext):
     :class:`CwmEvaluationContext`).
     """
 
-    supports_delta = False
     metric_names = CDCM_METRIC_NAMES
 
     def __init__(

@@ -1,10 +1,10 @@
 """Pluggable batch-pricing backends — the parallel half of the evaluation engine.
 
-:meth:`repro.eval.context.EvaluationContext.evaluate_batch` is the seam every
-population-based engine prices through (GA generations, exhaustive chunks,
-multi-restart annealing, weight sweeps).  This module makes that seam
-pluggable: a :class:`BatchBackend` decides *where* the uncached candidates of
-a batch are priced —
+:meth:`repro.eval.context.EvaluationContext.evaluate_metrics_batch` is the
+seam every population-based engine prices through (GA generations, exhaustive
+chunks, NSGA fronts, weight sweeps).  This module makes that seam pluggable:
+a :class:`BatchBackend` decides *where* the uncached candidates of a batch
+are priced —
 
 * :class:`SerialBackend` prices them inline in the calling process (the
   default, and the reference semantics);
@@ -16,9 +16,10 @@ a batch are priced —
   mappings, never the O(n^2) route arrays.
 
 Both backends are bit-identical by construction: they run the same
-``_compute_cost`` code on the same inputs, and the caller reassembles results
-in submission order, so a seeded search returns the same mapping and the same
-cost no matter which backend priced it (pinned by ``tests/test_parallel.py``).
+``_compute_metrics_chunk`` code on the same inputs, and the caller reassembles
+results in submission order, so a seeded search returns the same mapping and
+the same cost no matter which backend priced it (pinned by
+``tests/test_parallel.py``).
 
 A pool whose worker dies (killed, out of memory) is *broken*: every later
 submission raises :class:`~concurrent.futures.process.BrokenProcessPool`.
@@ -88,18 +89,10 @@ def _worker_context(token: int, payload: bytes) -> "EvaluationContext":
     return context
 
 
-def _price_chunk(
-    token: int, payload: bytes, mappings: Sequence[Any]
-) -> List[float]:
-    """Worker task: price one chunk of candidates with a cached context."""
-    context = _worker_context(token, payload)
-    return [context._compute_cost(mapping) for mapping in mappings]
-
-
 def _price_metrics_chunk(
     token: int, payload: bytes, mappings: Sequence[Any]
 ) -> List[Any]:
-    """Worker task: metric vectors of one chunk (the vector-objective twin).
+    """Worker task: metric vectors of one chunk with a cached context.
 
     Prices through ``_compute_metrics_chunk`` so a vectorised context uses
     its array kernel per worker chunk instead of per-candidate loops.
@@ -119,50 +112,27 @@ class BatchBackend(ABC):
 
     A backend receives the context and the candidates that missed the memo
     (deduplication and memo bookkeeping stay in
-    :meth:`~repro.eval.context.EvaluationContext.evaluate_batch`) and must
-    return their costs in order.  Implementations must be *bit-identical* to
-    serial pricing: same ``_compute_cost`` code, same inputs, same order.
+    :meth:`~repro.eval.context.EvaluationContext.evaluate_metrics_batch`) and
+    must return their metric vectors in order.  Implementations must be
+    *bit-identical* to serial pricing: same ``_compute_metrics_chunk`` code,
+    same inputs, same order.
     """
 
     #: Short identifier used in reports and benchmark tables.
     name: str = "backend"
 
     @abstractmethod
-    def evaluate(
-        self, context: "EvaluationContext", mappings: Sequence[Any]
-    ) -> List[float]:
-        """Price *mappings* under *context* and return costs in order.
-
-        Parameters
-        ----------
-        context:
-            The evaluation context whose ``_compute_cost`` defines the price.
-        mappings:
-            Candidates to price (``Mapping`` objects or assignment dicts).
-
-        Returns
-        -------
-        list of float
-            ``[context._compute_cost(m) for m in mappings]``, possibly
-            computed elsewhere.
-        """
-
     def evaluate_metrics(
         self, context: "EvaluationContext", mappings: Sequence[Any]
     ) -> List[Any]:
         """Metric vectors of *mappings* under *context*, in order.
 
-        The vector-objective twin of :meth:`evaluate` — this is what
+        This is what
         :meth:`~repro.eval.context.EvaluationContext.evaluate_metrics_batch`
         (and therefore every scalar batch too) prices misses through, so
         memoised component vectors are shared by all scalarisation views.
-
-        The base class deliberately raises instead of pricing inline: a
-        backend written against the pre-vector protocol (overriding
-        :meth:`evaluate` only) would otherwise keep type-checking while its
-        fan-out silently stopped being used.  Subclasses must implement this
-        method — :class:`SerialBackend` prices inline,
-        :class:`ProcessPoolBackend` chunks across the pool.
+        :class:`SerialBackend` prices inline, :class:`ProcessPoolBackend`
+        chunks across the pool.
 
         Parameters
         ----------
@@ -178,12 +148,6 @@ class BatchBackend(ABC):
             ``[context._compute_metrics(m) for m in mappings]``, possibly
             computed elsewhere.
         """
-        raise NotImplementedError(
-            f"{type(self).__name__} does not implement evaluate_metrics(); "
-            f"since the vector-objective redesign batch misses price metric "
-            f"vectors, so backends must override evaluate_metrics (not just "
-            f"the legacy scalar evaluate())"
-        )
 
     def map(
         self,
@@ -228,16 +192,10 @@ class SerialBackend(BatchBackend):
 
     The reference backend: :class:`ProcessPoolBackend` results are asserted
     bit-identical against it.  Passing ``backend=None`` to a context is
-    equivalent but also skips batch-level dedup bookkeeping.
+    equivalent.
     """
 
     name = "serial"
-
-    def evaluate(
-        self, context: "EvaluationContext", mappings: Sequence[Any]
-    ) -> List[float]:
-        """Price *mappings* by direct ``_compute_cost`` calls, in order."""
-        return [context._compute_cost(mapping) for mapping in mappings]
 
     def evaluate_metrics(
         self, context: "EvaluationContext", mappings: Sequence[Any]
@@ -362,21 +320,6 @@ class ProcessPoolBackend(BatchBackend):
         return entry
 
     # ------------------------------------------------------------------
-    def evaluate(
-        self, context: "EvaluationContext", mappings: Sequence[Any]
-    ) -> List[float]:
-        """Price *mappings* across the pool, preserving submission order.
-
-        Batches below ``min_batch_size`` are priced inline (identical
-        arithmetic, no IPC).
-        """
-        return self._fan_out(
-            context,
-            mappings,
-            _price_chunk,
-            lambda items: [context._compute_cost(mapping) for mapping in items],
-        )
-
     def evaluate_metrics(
         self, context: "EvaluationContext", mappings: Sequence[Any]
     ) -> List[Any]:
@@ -385,28 +328,14 @@ class ProcessPoolBackend(BatchBackend):
         Batches below ``min_batch_size`` are priced inline (identical
         arithmetic, no IPC).
         """
-        return self._fan_out(
-            context,
-            mappings,
-            _price_metrics_chunk,
-            lambda items: list(context._compute_metrics_chunk(items)),
-        )
-
-    def _fan_out(
-        self,
-        context: "EvaluationContext",
-        mappings: Sequence[Any],
-        chunk_task,
-        inline_price,
-    ) -> List[Any]:
         items = list(mappings)
         if len(items) < self.min_batch_size:
-            return inline_price(items)
+            return list(context._compute_metrics_chunk(items))
         token, payload = self._context_payload(context)
         chunk = self.chunk_size or math.ceil(len(items) / self.n_workers)
         chunks = self._run(
             [
-                (chunk_task, (token, payload, items[i : i + chunk]))
+                (_price_metrics_chunk, (token, payload, items[i : i + chunk]))
                 for i in range(0, len(items), chunk)
             ]
         )

@@ -194,9 +194,13 @@ class RegionObjective:
             core: self._allowed[virtual.tile_of(core)] for core in self._movable
         }
 
-    def __call__(self, virtual: Mapping) -> float:
+    def cost(
+        self, virtual: Mapping, weights: Optional[Dict[str, float]] = None
+    ) -> float:
         """Full-mapping cost of a virtual candidate (the engine contract)."""
-        return self._context.cost(self.translate(virtual))
+        return self._context.cost(self.translate(virtual), weights)
+
+    __call__ = cost
 
     def evaluate_batch(self, virtuals, backend=None) -> List[float]:
         """Bulk pricing of virtual candidates through the context's batch seam."""

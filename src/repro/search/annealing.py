@@ -252,11 +252,6 @@ class SimulatedAnnealing(PoolOwnerMixin, Searcher):
         self._owned_backend = None
 
     # ------------------------------------------------------------------
-    def _restart_backend(self):
-        """The backend restart fan-out goes through (``None`` = serial)."""
-        return self._resolve_backend(self.n_workers)
-
-    # ------------------------------------------------------------------
     def search(
         self,
         objective: Objective,
@@ -301,7 +296,7 @@ class SimulatedAnnealing(PoolOwnerMixin, Searcher):
                 "simulated annealing requires the initial mapping to know the NoC size"
             )
         seeds = spawn_seeds(ensure_rng(rng), self.restarts)
-        backend = self._restart_backend()
+        backend = self._resolve_backend(self.n_workers)
         payload: Optional[bytes] = None
         if backend is not None:
             # Pickle once, ship the same bytes to every restart task; a
@@ -466,11 +461,6 @@ class SimulatedAnnealing(PoolOwnerMixin, Searcher):
             if used:
                 tile_a = used[int(rng.integers(len(used)))]
         return tile_a, tile_b
-
-    def _propose(self, mapping: Mapping, rng, num_tiles: int) -> Mapping:
-        """Swap the contents of two distinct tiles (either may be empty)."""
-        tile_a, tile_b = self._propose_tiles(mapping, rng, num_tiles)
-        return mapping.swap_tiles(tile_a, tile_b)
 
     def _calibrate_temperature(
         self,

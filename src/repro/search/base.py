@@ -103,11 +103,10 @@ def as_objective(spec) -> Objective:
     all of the following are accepted everywhere a plain callable is:
 
     * a callable ``mapping -> cost`` (returned unchanged — including
-      :class:`~repro.core.objective.CountingObjective` and
       :class:`~repro.core.objective.ScalarisedObjective`);
-    * an :class:`~repro.eval.context.EvaluationContext` (wrapped in a
-      :class:`~repro.core.objective.CountingObjective` scalarising with the
-      context's own weight view);
+    * an :class:`~repro.eval.context.EvaluationContext` (turned into a
+      :class:`~repro.core.objective.ScalarisedObjective` view with the
+      context's own weights);
     * a ``(vector_objective, weights)`` pair (turned into a
       :class:`~repro.core.objective.ScalarisedObjective` view sharing the
       source's memo).
@@ -127,9 +126,9 @@ def as_objective(spec) -> Objective:
     ConfigurationError
         When *spec* matches none of the accepted shapes.
     """
-    if isinstance(spec, tuple) and len(spec) == 2:
-        from repro.core.objective import ScalarisedObjective
+    from repro.core.objective import ScalarisedObjective
 
+    if isinstance(spec, tuple) and len(spec) == 2:
         source, weights = spec
         return ScalarisedObjective(source, weights)
     if callable(spec):
@@ -137,9 +136,7 @@ def as_objective(spec) -> Objective:
     if callable(getattr(spec, "cost", None)) and callable(
         getattr(spec, "metrics", None)
     ):
-        from repro.core.objective import _bind_context
-
-        return _bind_context(spec)
+        return ScalarisedObjective(spec)
     raise ConfigurationError(
         f"cannot build an objective from {spec!r}; expected a callable, an "
         f"EvaluationContext, or a (vector_objective, weights) pair"
@@ -195,6 +192,21 @@ class PoolOwnerMixin:
                 self._owned_backend = ProcessPoolBackend(n_workers=n_workers)
             return self._owned_backend
         return None
+
+    def _batch_pricer(
+        self, objective: Objective, n_workers: Optional[int]
+    ) -> Callable[[List[Mapping]], List[float]]:
+        """``candidates -> costs`` for *objective*, in candidate order.
+
+        Batch-capable objectives price each call as one batch through the
+        resolved backend (resolved only for them, so a plain callable never
+        builds a pool); plain callables are called once per candidate.
+        """
+        batch_fn = batch_callable(objective)
+        if batch_fn is None:
+            return lambda candidates: [objective(c) for c in candidates]
+        backend = self._resolve_backend(n_workers)
+        return lambda candidates: batch_fn(candidates, backend=backend)
 
     def close(self) -> None:
         """Shut down the engine-owned process pool, if one was created."""

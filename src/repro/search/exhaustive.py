@@ -8,7 +8,7 @@ so the engine refuses (by default) to enumerate spaces larger than a
 configurable bound instead of silently running for hours.
 
 Candidates are priced in enumeration-order chunks through the objective's
-:meth:`~repro.core.objective.CountingObjective.evaluate_batch` (when it has
+:meth:`~repro.core.objective.ScalarisedObjective.evaluate_batch` (when it has
 one), which is the seam a :class:`~repro.eval.parallel.BatchBackend` can
 parallelise — and the seam the CWM array kernel
 (:mod:`repro.eval.vector`) vectorises, pricing each enumeration chunk as one
@@ -31,7 +31,6 @@ from repro.search.base import (
     SearchResult,
     Searcher,
     as_objective,
-    batch_callable,
     objective_metrics,
 )
 from repro.utils.errors import ConfigurationError
@@ -95,11 +94,6 @@ class ExhaustiveSearch(PoolOwnerMixin, Searcher):
         self._owned_backend = None
 
     # ------------------------------------------------------------------
-    def _pricing_backend(self):
-        """The backend enumeration chunks go through (``None`` = inline)."""
-        return self._resolve_backend(self.n_workers)
-
-    # ------------------------------------------------------------------
     def search(
         self,
         objective: Objective,
@@ -140,13 +134,7 @@ class ExhaustiveSearch(PoolOwnerMixin, Searcher):
                 f"annealing for this NoC size"
             )
 
-        batch_fn = batch_callable(objective)
-        backend = self._pricing_backend() if batch_fn is not None else None
-
-        def price(candidates: List[Mapping]) -> List[float]:
-            if batch_fn is not None:
-                return batch_fn(candidates, backend=backend)
-            return [objective(candidate) for candidate in candidates]
+        price = self._batch_pricer(objective, self.n_workers)
 
         best_mapping = initial
         best_cost = price([initial])[0]

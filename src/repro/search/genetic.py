@@ -13,7 +13,7 @@ population-based strategy:
 
 Pricing is batched: each generation's children are generated first (consuming
 the RNG in exactly the order the per-child loop used to) and then priced in
-one :meth:`~repro.core.objective.CountingObjective.evaluate_batch` call.
+one :meth:`~repro.core.objective.ScalarisedObjective.evaluate_batch` call.
 That batch call is the parallelism seam — set
 :attr:`GeneticParameters.n_workers` (or pass a
 :class:`~repro.eval.parallel.BatchBackend` to :class:`GeneticSearch`) to fan
@@ -41,7 +41,6 @@ from repro.search.base import (
     SearchResult,
     Searcher,
     as_objective,
-    batch_callable,
     objective_metrics,
 )
 from repro.utils.errors import ConfigurationError, MappingError
@@ -215,11 +214,6 @@ class GeneticSearch(PoolOwnerMixin, Searcher):
         self._owned_backend = None
 
     # ------------------------------------------------------------------
-    def _pricing_backend(self):
-        """The backend generation batches go through (``None`` = inline)."""
-        return self._resolve_backend(self.parameters.n_workers)
-
-    # ------------------------------------------------------------------
     def search(
         self,
         objective: Objective,
@@ -253,13 +247,7 @@ class GeneticSearch(PoolOwnerMixin, Searcher):
             )
         cores = initial.cores
 
-        batch_fn = batch_callable(objective)
-        backend = self._pricing_backend() if batch_fn is not None else None
-
-        def price(candidates: List[Mapping]) -> List[float]:
-            if batch_fn is not None:
-                return batch_fn(candidates, backend=backend)
-            return [objective(candidate) for candidate in candidates]
+        price = self._batch_pricer(objective, params.n_workers)
 
         population: List[Mapping] = [initial]
         while len(population) < params.population_size:

@@ -169,15 +169,6 @@ class ServiceBackend(BatchBackend):
                 cached[position] = vector
         return cached
 
-    def evaluate(self, context: Any, mappings: Sequence[Any]) -> List[float]:
-        """Scalar costs via :meth:`evaluate_metrics` + the context's weights.
-
-        Scalarisation happens after the store lookup, so one stored component
-        vector serves every weight view of the same candidate.
-        """
-        vectors = self.evaluate_metrics(context, mappings)
-        return [context._scalarise(vector) for vector in vectors]
-
     def map(
         self, fn: Callable[..., Any], argslist: Sequence[Tuple[Any, ...]]
     ) -> List[Any]:

@@ -46,6 +46,7 @@ from repro.codesign import (
 from repro.core.cdcm import CdcmEvaluator
 from repro.core.mapping import Mapping
 from repro.core.metrics import CDCM_METRIC_NAMES, MetricVector, scalarisation_weights
+from repro.core.objective import cwm_objective
 from repro.eval.context import CdcmEvaluationContext, CwmEvaluationContext
 from repro.eval.parallel import ProcessPoolBackend, SerialBackend
 from repro.graphs.convert import cdcg_to_cwg
@@ -53,6 +54,7 @@ from repro.noc.deadlock import channel_dependency_graph, validate_deadlock_free
 from repro.noc.platform import Platform
 from repro.noc.routing import XYRouting, get_routing
 from repro.noc.topology import Mesh
+from repro.search.annealing import FAST_SCHEDULE, SimulatedAnnealing
 from repro.utils.errors import ConfigurationError
 from repro.workloads.embedded import image_encoder
 
@@ -317,6 +319,33 @@ class TestLoadAwareCwmContext:
         for mapping, vector in zip(mappings, batch):
             assert vector.values == context._compute_metrics(mapping).values
 
+    def test_delta_annealing_keeps_its_walk(self, load_setup):
+        # The energy-only default view prices every move with the exact swap
+        # delta; the seeded walk is pinned to the result it gave when a
+        # per-context wrapper (not a view) priced it.
+        cwg, platform, _, _ = load_setup
+        objective = cwm_objective(
+            cwg, platform, context=LoadAwareCwmContext(cwg, platform)
+        )
+        initial = Mapping.random(cwg.cores, platform.num_tiles, rng=4)
+        result = SimulatedAnnealing(FAST_SCHEDULE, use_delta=True).search(
+            objective, initial, rng=12
+        )
+        assert objective.delta_evaluations == 1316
+        assert objective.evaluations == 6
+        assert (result.best_cost, result.evaluations, result.accepted_moves) == (
+            102727.68, 1317, 805
+        )
+        assert result.history == [
+            (1, 121077.76), (22, 113049.59999999999), (88, 109608.95999999999),
+            (262, 107315.19999999998), (266, 103874.55999999998), (677, 102727.68),
+        ]
+        assert sorted(result.best_mapping.assignments().items()) == [
+            ("DCTQ0", 1), ("DCTQ1", 6), ("DCTQ2", 4), ("DCTQ3", 5),
+            ("PACK", 8), ("SPLIT", 3), ("SRC", 0), ("VLC", 7),
+        ]
+        assert result.best_metrics.values == (102727.68, 65536.0, 55296.0)
+
     def test_pickle_and_pool_bit_identical(self, load_setup):
         cwg, platform, context, mappings = load_setup
         clone = pickle.loads(pickle.dumps(context))
@@ -330,9 +359,14 @@ class TestLoadAwareCwmContext:
 
     def test_metric_delta_disabled(self, load_setup):
         cwg, platform, context, mappings = load_setup
-        assert context.supports_metric_delta is False
+        # Swaps move link loads non-locally: only the energy component has
+        # an incremental delta, so a view weighting a load component has none.
+        assert context.delta_metric == "dynamic_energy"
+        loaded = context.scalarised({"dynamic_energy": 1.0, "max_link_load": 1.0})
+        assert not loaded.supports_delta
         with pytest.raises(NotImplementedError):
-            context.metric_delta(mappings[0], 0, 1)
+            loaded.delta(mappings[0], 0, 1)
+        assert context.scalarised({"dynamic_energy": 2.0, "max_link_load": 0.0}).supports_delta
         # The scalar delta stays exact: the cost view is energy-only.
         mapping = mappings[0]
         swapped = mapping.swap_tiles(0, 1)

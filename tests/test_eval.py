@@ -6,7 +6,8 @@ import pytest
 from repro.core.cwm import CwmEvaluator
 from repro.core.cdcm import CdcmEvaluator
 from repro.core.mapping import Mapping
-from repro.core.objective import CountingObjective, cdcm_objective, cwm_objective
+from repro.codesign.load import LoadAwareCwmContext
+from repro.core.objective import ScalarisedObjective, cdcm_objective, cwm_objective
 from repro.eval.context import (
     CdcmEvaluationContext,
     CwmEvaluationContext,
@@ -272,9 +273,30 @@ class TestCdcmEvaluationContext:
         # CDCM cost is global: every move is priced by a full replay.
         context = CdcmEvaluationContext(example_cdcg, example_platform)
         assert not context.supports_delta
-        assert not context.supports_metric_delta
+        assert context.delta_metric is None
         with pytest.raises(NotImplementedError):
             context.delta(example_mappings["c"], 0, 1)
+
+    def test_inline_batch_prices_each_unique_candidate_once(
+        self, example_cdcg, example_platform, monkeypatch
+    ):
+        context = CdcmEvaluationContext(example_cdcg, example_platform)
+        priced = []
+        compute = context._compute_metrics
+        monkeypatch.setattr(
+            context, "_compute_metrics", lambda m: priced.append(m) or compute(m)
+        )
+        base = [Mapping.random(example_cdcg.cores(), 4, rng=seed) for seed in range(6)]
+        batch = base + base[::-1] + base[:2]
+        vectors = context.evaluate_metrics_batch(batch)  # no backend: inline
+        unique = len(set(batch))
+        assert len(priced) == unique
+        assert context.cache_info().misses == unique
+        reference = CdcmEvaluationContext(example_cdcg, example_platform)
+        assert vectors == [reference.metrics(m) for m in batch]
+        # The scalar batch is the same pass, answered from the memo.
+        assert context.evaluate_batch(batch) == [reference.cost(m) for m in batch]
+        assert len(priced) == unique
 
     def test_memoises_replays(self, example_cdcg, example_platform, example_mappings):
         context = CdcmEvaluationContext(example_cdcg, example_platform)
@@ -300,12 +322,31 @@ class TestObjectiveIntegration:
         assert not objective.supports_delta
         assert delta_callable(objective) is None
 
-    def test_plain_callable_has_no_delta(self):
-        objective = CountingObjective(lambda m: 0.0)
-        assert not objective.supports_delta
-        assert delta_callable(objective) is None
+    def test_plain_callable_has_no_delta(self, example_cdcg, example_platform):
+        assert delta_callable(lambda m: 0.0) is None
+        # A view over a context without a delta_metric refuses to guess one.
+        objective = cdcm_objective(example_cdcg, example_platform)
         with pytest.raises(NotImplementedError):
             objective.delta(Mapping({"a": 0}), 0, 1)
+        assert objective.delta_evaluations == 0
+
+    @pytest.mark.parametrize(
+        "context_class", [CwmEvaluationContext, LoadAwareCwmContext]
+    )
+    def test_view_delta_is_context_delta_bit_for_bit(self, context_class):
+        cwg = _random_cwg(np.random.default_rng(31), 7)
+        context = context_class(cwg, Platform(mesh=Mesh(3, 3)))
+        view = ScalarisedObjective(context)
+        assert view.supports_delta
+        for seed in range(4):
+            mapping = Mapping.random(cwg.cores, 9, rng=seed)
+            for tile_a in range(9):
+                for tile_b in range(9):
+                    assert (
+                        view.delta(mapping, tile_a, tile_b).hex()
+                        == context.delta(mapping, tile_a, tile_b).hex()
+                    )
+        assert view.delta_evaluations == 4 * 81
 
     def test_delta_calls_are_counted(self, example_cdcg, example_platform):
         objective = cwm_objective(cdcg_to_cwg(example_cdcg), example_platform)
@@ -324,7 +365,6 @@ class TestObjectiveIntegration:
         objective(mapping)
         info = objective.cache_info()
         assert info is not None and info.hits == 1
-        assert CountingObjective(lambda m: 0.0).cache_info() is None
 
 
 class TestDeltaAwareSearch:

@@ -4,16 +4,20 @@ import pytest
 
 from repro.core.framework import FRWFramework
 from repro.core.mapping import Mapping
-from repro.core.objective import CountingObjective, cdcm_objective, cwm_objective
+from repro.core.objective import ScalarisedObjective, cdcm_objective, cwm_objective
 from repro.energy.technology import TECH_0_35UM
+from repro.eval.context import CdcmEvaluationContext
 from repro.graphs.cdcg import CDCG
 from repro.noc.platform import Platform
 from repro.noc.topology import Mesh
 from repro.search.annealing import FAST_SCHEDULE, SimulatedAnnealing
+from repro.search.base import as_objective
 from repro.utils.errors import ConfigurationError, MappingError
 
 
 class TestCountingObjective:
+    """The Section 5 effort counters every objective view carries."""
+
     def test_counts_calls_and_time(self, example_cdcg, example_platform, example_mappings):
         objective = cdcm_objective(example_cdcg, example_platform)
         assert objective.evaluations == 0
@@ -25,8 +29,9 @@ class TestCountingObjective:
         assert objective.evaluations == 0
         assert objective.elapsed == 0.0
 
-    def test_repr_mentions_name(self):
-        objective = CountingObjective(lambda m: 0.0, name="demo")
+    def test_repr_mentions_name(self, example_cdcg, example_platform):
+        context = CdcmEvaluationContext(example_cdcg, example_platform)
+        objective = ScalarisedObjective(context, name="demo")
         assert "demo" in repr(objective)
 
     def test_cwm_objective_value(self, example_cdcg, example_platform, example_mappings):
@@ -38,6 +43,64 @@ class TestCountingObjective:
     def test_cdcm_objective_value(self, example_cdcg, example_platform, example_mappings):
         objective = cdcm_objective(example_cdcg, example_platform)
         assert objective(example_mappings["d"]) == pytest.approx(399.0)
+
+
+#: Every way of obtaining an objective, with the name, swap-delta support and
+#: costs of the two Figure 1 mappings (c, d) each had before views became
+#: the only adapter.
+_ADAPTERS = {
+    "cwm_objective": (
+        lambda cdcg, cwg, platform: cwm_objective(cwg, platform),
+        "cwm(paper-example)", True, (390.0, 390.0),
+    ),
+    "cdcm_objective": (
+        lambda cdcg, cwg, platform: cdcm_objective(cdcg, platform),
+        "cdcm(paper-example,energy)", False, (400.0, 399.0),
+    ),
+    "as_objective-context": (
+        lambda cdcg, cwg, platform: as_objective(
+            CdcmEvaluationContext(cdcg, platform)
+        ),
+        "cdcm(paper-example,energy)", False, (400.0, 399.0),
+    ),
+    "as_objective-weighted-spec": (
+        lambda cdcg, cwg, platform: as_objective(
+            (CdcmEvaluationContext(cdcg, platform), {"energy": 0.5, "time": 0.5})
+        ),
+        "cdcm(paper-example,energy)[energy=0.5,time=0.5]", False, (250.0, 244.5),
+    ),
+    "framework-cwm": (
+        lambda cdcg, cwg, platform: FRWFramework(cdcg, platform).objective("cwm"),
+        "cwm(paper-example)", True, (390.0, 390.0),
+    ),
+    "framework-cdcm-weighted": (
+        lambda cdcg, cwg, platform: FRWFramework(cdcg, platform).objective(
+            "cdcm", {"time": 1.0}
+        ),
+        "cdcm(paper-example,energy)[time=1]", False, (100.0, 90.0),
+    ),
+}
+
+
+class TestOneAdapter:
+    @pytest.mark.parametrize("adapter", list(_ADAPTERS))
+    def test_every_factory_returns_a_counting_view(
+        self, adapter, example_cdcg, example_cwg, example_platform, example_mappings
+    ):
+        build, name, supports_delta, costs = _ADAPTERS[adapter]
+        objective = build(example_cdcg, example_cwg, example_platform)
+        assert isinstance(objective, ScalarisedObjective)
+        assert objective.name == name
+        assert objective.supports_delta is supports_delta
+        mappings = [example_mappings["c"], example_mappings["d"]]
+        assert tuple(objective(mapping) for mapping in mappings) == costs
+        assert tuple(objective.evaluate_batch(mappings + mappings[:1])) == costs + costs[:1]
+        assert objective.evaluations == 5
+        if supports_delta:
+            objective.delta(mappings[0], 0, 1)
+        assert objective.delta_evaluations == int(supports_delta)
+        assert objective.elapsed > 0.0
+        assert objective.cache_info().misses == 2
 
 
 class TestFrameworkConstruction:

@@ -67,26 +67,31 @@ def _random_mappings(cwg, num_tiles, count, offset=0):
     ]
 
 
+def _uncached_costs(context, mappings):
+    """The reference: one uncached per-candidate pricing, scalarised."""
+    return [context._scalarise(context._compute_metrics(m)) for m in mappings]
+
+
 class TestBackendEquivalence:
     def test_serial_backend_matches_inline(self, workload):
         _, cwg, platform = workload
         context = CwmEvaluationContext(cwg, platform)
         mappings = _random_mappings(cwg, 16, 16)
-        inline = [context._compute_cost(m) for m in mappings]
+        inline = _uncached_costs(context, mappings)
         assert context.evaluate_batch(mappings, backend=SerialBackend()) == inline
 
     def test_pooled_cwm_costs_bit_identical(self, workload, pool):
         _, cwg, platform = workload
         context = CwmEvaluationContext(cwg, platform, cache_size=0)
         mappings = _random_mappings(cwg, 16, 24)
-        inline = [context._compute_cost(m) for m in mappings]
+        inline = _uncached_costs(context, mappings)
         assert context.evaluate_batch(mappings, backend=pool) == inline
 
     def test_pooled_cdcm_costs_bit_identical(self, workload, pool):
         cdcg, _, platform = workload
         context = CdcmEvaluationContext(cdcg, platform, cache_size=0)
         mappings = _random_mappings(cdcg_to_cwg(cdcg), 16, 6)
-        inline = [context._compute_cost(m) for m in mappings]
+        inline = _uncached_costs(context, mappings)
         assert context.evaluate_batch(mappings, backend=pool) == inline
 
     def test_batch_dedupes_and_fills_memo(self, workload):
@@ -117,9 +122,7 @@ class TestBackendEquivalence:
         context = CwmEvaluationContext(cwg, platform, backend=SerialBackend())
         mappings = _random_mappings(cwg, 16, 5)
         assert context.backend is not None
-        assert context.evaluate_batch(mappings) == [
-            context._compute_cost(m) for m in mappings
-        ]
+        assert context.evaluate_batch(mappings) == _uncached_costs(context, mappings)
 
     def test_backend_validation(self):
         with pytest.raises(ConfigurationError):
@@ -133,9 +136,9 @@ class TestBackendEquivalence:
         context = CwmEvaluationContext(cwg, platform)
         mappings = _random_mappings(cwg, 16, 3)
         # Below min_batch_size no pool is ever created.
-        assert context.evaluate_batch(mappings, backend=backend) == [
-            context._compute_cost(m) for m in mappings
-        ]
+        assert context.evaluate_batch(mappings, backend=backend) == _uncached_costs(
+            context, mappings
+        )
         assert backend._pool is None
         backend.close()
 
@@ -179,9 +182,9 @@ class TestContextPickling:
         _, cwg, platform = workload
         context = CwmEvaluationContext(cwg, platform, backend=SerialBackend())
         mappings = _random_mappings(cwg, 16, 8)
-        expected = [context._compute_cost(m) for m in mappings]
+        expected = _uncached_costs(context, mappings)
         clone = pickle.loads(pickle.dumps(context))
-        assert [clone._compute_cost(m) for m in mappings] == expected
+        assert _uncached_costs(clone, mappings) == expected
 
     def test_cdcm_round_trip_prices_identically(self, workload):
         cdcg, cwg, platform = workload
@@ -189,9 +192,9 @@ class TestContextPickling:
             cdcg, platform, metric="weighted", energy_weight=0.7, time_weight=0.3
         )
         mappings = _random_mappings(cwg, 16, 4)
-        expected = [context._compute_cost(m) for m in mappings]
+        expected = _uncached_costs(context, mappings)
         clone = pickle.loads(pickle.dumps(context))
-        assert [clone._compute_cost(m) for m in mappings] == expected
+        assert _uncached_costs(clone, mappings) == expected
         assert clone.evaluator.metric == "weighted"
         assert clone.evaluator.time_weight == 0.3
 
@@ -364,7 +367,7 @@ class TestComparisonNeverPools:
             raise AssertionError("ComparisonConfig engaged ProcessPoolBackend")
 
         monkeypatch.setattr(ProcessPoolBackend, "__init__", forbidden)
-        monkeypatch.setattr(ProcessPoolBackend, "evaluate", forbidden)
+        monkeypatch.setattr(ProcessPoolBackend, "evaluate_metrics", forbidden)
         monkeypatch.setattr(ProcessPoolBackend, "map", forbidden)
         config = ComparisonConfig(method="exhaustive")
         comparison = compare_models(example_cdcg, example_platform, config, seed=3)
@@ -381,10 +384,17 @@ class TestComparisonNeverPools:
 class TestBackendProtocol:
     def test_backend_map_default_is_serial(self):
         class Echo(BatchBackend):
-            def evaluate(self, context, mappings):  # pragma: no cover - unused
+            def evaluate_metrics(self, context, mappings):  # pragma: no cover - unused
                 return []
 
         assert Echo().map(pow, [(2, 3), (3, 2)]) == [8, 9]
+
+    def test_backend_without_evaluate_metrics_cannot_be_instantiated(self):
+        class MapOnly(BatchBackend):
+            pass
+
+        with pytest.raises(TypeError, match="evaluate_metrics"):
+            MapOnly()
 
     def test_pool_map_matches_serial_map(self, pool):
         args = [(2, 5), (3, 3), (5, 2)]
@@ -395,6 +405,6 @@ class TestBackendProtocol:
         context = CwmEvaluationContext(cwg, platform, cache_size=0)
         mappings = _random_mappings(cwg, 16, 8)
         with ProcessPoolBackend(n_workers=2, min_batch_size=2) as backend:
-            backend.evaluate(context, mappings)
+            backend.evaluate_metrics(context, mappings)
             assert backend._pool is not None
         assert backend._pool is None

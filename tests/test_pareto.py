@@ -37,7 +37,6 @@ from repro.core.metrics import (
     validate_weights,
 )
 from repro.core.objective import (
-    CountingObjective,
     ScalarisedObjective,
     cdcm_objective,
     cwm_objective,
@@ -295,9 +294,7 @@ class TestWeightSweep:
         # The acceptance property: sweeping 16 weight vectors over a priced
         # GA population performs <= 1 full pricing pass per unique candidate.
         context = CdcmEvaluationContext(example_cdcg, example_platform)
-        objective = CountingObjective(
-            context.cost, name=context.name, context=context
-        )
+        objective = ScalarisedObjective(context)
         initial = Mapping.random(example_cdcg.cores(), 4, rng=1)
         GeneticSearch(
             GeneticParameters(population_size=8, generations=3)

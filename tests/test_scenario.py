@@ -274,6 +274,27 @@ class TestRegionRemap:
         assert placed[a] == 4 and placed[c] == 8
         assert placed[b] in (2, 6)
 
+    def test_weighted_region_spec_prices_through_the_region(self):
+        from repro.eval.context import CwmEvaluationContext
+        from repro.graphs.convert import cdcg_to_cwg
+        from repro.search.base import as_objective
+        from repro.workloads.tgff import TgffLikeGenerator, TgffSpec
+
+        cdcg = TgffLikeGenerator(3).generate(
+            TgffSpec(name="t", num_cores=3, num_packets=6, total_bits=900)
+        )
+        context = CwmEvaluationContext(
+            cdcg_to_cwg(cdcg), Platform(mesh="mesh:3x3", routing="table")
+        )
+        a, b, c = sorted(cdcg.cores())
+        region = RegionObjective(context, {a: 0}, (b, c), (2, 4, 6))
+        view = as_objective((region, {"dynamic_energy": 2.0}))
+        virtual = region.initial_mapping()
+        # A view over a region scalarises full-mapping vectors, never the
+        # virtual ones, and a region has no swap delta to offer.
+        assert view(virtual) == 2.0 * context.cost(region.translate(virtual))
+        assert not view.supports_delta
+
 
 # ---------------------------------------------------------------------------
 # Runner lifecycle

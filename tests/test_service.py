@@ -381,12 +381,13 @@ class TestServiceBackend:
     def test_scalar_evaluate_matches_serial(self, tmp_path, workload):
         cdcg, _, platform = workload
         mappings = _random_mappings(cdcg.cores(), platform.num_tiles, 6)
-        reference = SerialBackend().evaluate(
-            CdcmEvaluationContext(cdcg, platform, cache_size=0), mappings
+        reference = CdcmEvaluationContext(cdcg, platform, cache_size=0).evaluate_batch(
+            mappings, backend=SerialBackend()
         )
         service = ServiceBackend(ResultStore(tmp_path))
         context = CdcmEvaluationContext(cdcg, platform, cache_size=0)
-        assert service.evaluate(context, mappings) == reference
+        assert context.evaluate_batch(mappings, backend=service) == reference
+        assert service.priced == len(set(mappings))
 
     def test_warm_weight_sweep_prices_nothing(self, tmp_path, workload):
         """The acceptance criterion: an identical weight-sweep job against a
@@ -742,7 +743,6 @@ class TestComparisonPin:
             )
 
         monkeypatch.setattr(ServiceBackend, "evaluate_metrics", explode)
-        monkeypatch.setattr(ServiceBackend, "evaluate", explode)
         cdcg, _, platform = workload
         config = ComparisonConfig(annealing_schedule=FAST_SCHEDULE)
         comparison = compare_models(cdcg, platform, config, seed=3)

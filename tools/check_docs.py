@@ -26,6 +26,13 @@ Two checks, zero third-party dependencies:
    must appear in the guide's spec table, so a new topology or routing
    cannot land undocumented.
 
+5. **API reference resolves** — every backticked name in the first column
+   of a ``docs/api.md`` table (``Name(args)``, ``Owner.member``, several
+   names split by ``/``) must be exported by the ``__all__`` of some
+   ``repro`` module (or be a ``repro.`` module path), with dotted members
+   resolved by ``getattr``, so a
+   deleted or renamed symbol cannot linger in the reference.
+
 Exits non-zero with a list of violations; run from the repository root:
 
     PYTHONPATH=src python tools/check_docs.py
@@ -35,6 +42,7 @@ from __future__ import annotations
 
 import importlib
 import inspect
+import pkgutil
 import re
 import sys
 from pathlib import Path
@@ -405,6 +413,48 @@ def check_codesign_sections() -> list:
     return problems
 
 
+# ----------------------------------------------------------------------
+# API reference resolution
+# ----------------------------------------------------------------------
+_FIRST_CELL_RE = re.compile(r"^\|([^|]*)\|", re.MULTILINE)
+_CODE_SPAN_RE = re.compile(r"`([^`]+)`")
+
+#: Sentinel of a failed lookup (``None`` is a legitimate attribute value).
+_MISSING = object()
+
+
+def api_reference_names(markdown: str) -> list:
+    """Backticked names of every table row's first cell, call syntax stripped."""
+    names = []
+    for cell in _FIRST_CELL_RE.findall(markdown):
+        for span in _CODE_SPAN_RE.findall(cell):
+            names.append(span.split("(", 1)[0].strip())
+    return names
+
+
+def check_api_reference() -> list:
+    """Every name in a docs/api.md table resolves to an exported symbol."""
+    import repro
+
+    exported = {"repro": repro}  # module paths such as `repro.search.population`
+    for info in pkgutil.walk_packages(repro.__path__, "repro."):
+        module = importlib.import_module(info.name)
+        for name in getattr(module, "__all__", ()):
+            exported.setdefault(name, getattr(module, name, _MISSING))
+    problems = []
+    api = REPO_ROOT / "docs" / "api.md"
+    for dotted in api_reference_names(api.read_text()):
+        head, *members = dotted.split(".")
+        target = exported.get(head, _MISSING)
+        for member in members:
+            target = getattr(target, member, _MISSING)
+        if target is _MISSING:
+            problems.append(
+                f"docs/api.md: `{dotted}` is not exported by any repro module"
+            )
+    return problems
+
+
 def main() -> int:
     problems = (
         check_docstrings()
@@ -414,6 +464,7 @@ def main() -> int:
         + check_service_sections()
         + check_scenario_sections()
         + check_codesign_sections()
+        + check_api_reference()
     )
     if problems:
         print(f"check_docs: {len(problems)} problem(s)")
